@@ -19,7 +19,6 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--linear", type=int, default=25)
     parser.add_argument("--graphic", type=int, default=25)
-    parser.add_argument("--processes", type=int, default=1)
     parser.add_argument("--json", metavar="PATH")
     args = parser.parse_args()
 
@@ -30,7 +29,7 @@ def main():
     start = time.perf_counter()
     for oracle in catalog:
         t0 = time.perf_counter()
-        rep = verify_c3_for_matroid(oracle, processes=args.processes)
+        rep = verify_c3_for_matroid(oracle)
         reports.append(rep)
         total_unsat += rep.unsat
         print(f"{rep.matroid:<24} families={rep.families:>7} "

@@ -34,7 +34,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .grid import NOT_REQUIRED, REQUIRED, GridInstance
-from .matroid import BasesRep, GraphicRep, LinearRep, MatroidOracle
+from .matroid import (BasesRep, GraphicRep, LinearRep, MatroidOracle,
+                      find_exchange_violation)
 
 
 class FormatError(ValueError):
@@ -69,6 +70,13 @@ class _Lines:
         self.pos += 1
         return no, toks
 
+    def take_int(self, keyword: str, what: str) -> tuple[int, int]:
+        """A `KEYWORD <integer>` line: its number and its value."""
+        no, toks = self.take(keyword)
+        if len(toks) != 2:
+            raise FormatError(no, f"{keyword} takes exactly one {what}")
+        return no, _parse_int(no, toks[1], what)
+
     def expect_end(self):
         item = self.peek()
         if item is not None:
@@ -98,17 +106,20 @@ def _parse_rational(no: int, tok: str) -> Fraction:
     return Fraction(num, den)
 
 
-def parse_matroid(text: str) -> MatroidOracle:
+def parse_matroid(text: str, check_exchange: bool = True) -> MatroidOracle:
+    """Parse a matroid file.
+
+    A BASES family that breaks the basis-exchange axiom is not a matroid and
+    raises FormatError at the first offending BASIS line, unless
+    `check_exchange` is off (for callers that audit the family themselves).
+    """
     lines = _Lines(text)
     no, toks = lines.take("MATROID")
     if toks[1:] != ["v1"]:
         raise FormatError(no, f"unsupported matroid format version {toks[1:]}")
     no, toks = lines.take("NAME")
     name = " ".join(toks[1:])
-    no, toks = lines.take("GROUND")
-    if len(toks) != 2:
-        raise FormatError(no, "GROUND takes exactly one count")
-    m = _parse_int(no, toks[1], "ground size")
+    no, m = lines.take_int("GROUND", "ground size")
     if m < 0:
         raise FormatError(no, "ground size must be nonnegative")
     no, toks = lines.take("TYPE")
@@ -117,8 +128,7 @@ def parse_matroid(text: str) -> MatroidOracle:
     kind = toks[1]
 
     if kind == "LINEAR":
-        no, toks = lines.take("DIM")
-        d = _parse_int(no, toks[1], "dimension")
+        no, d = lines.take_int("DIM", "dimension")
         if d <= 0:
             raise FormatError(no, "dimension must be positive")
         rows = []
@@ -132,8 +142,7 @@ def parse_matroid(text: str) -> MatroidOracle:
         return MatroidOracle(LinearRep(d, columns), name=name, ground_size=m)
 
     if kind == "GRAPHIC":
-        no, toks = lines.take("VERTICES")
-        v = _parse_int(no, toks[1], "vertex count")
+        no, v = lines.take_int("VERTICES", "vertex count")
         if v <= 0:
             raise FormatError(no, "vertex count must be positive")
         edges = []
@@ -148,11 +157,10 @@ def parse_matroid(text: str) -> MatroidOracle:
         lines.expect_end()
         return MatroidOracle(GraphicRep(v, tuple(edges)), name=name)
 
-    no, toks = lines.take("RANK")
-    r = _parse_int(no, toks[1], "rank")
+    no, r = lines.take_int("RANK", "rank")
     if r < 0:
         raise FormatError(no, "rank must be nonnegative")
-    bases = set()
+    bases: dict[frozenset[int], int] = {}
     while lines.peek() is not None:
         no, toks = lines.take("BASIS")
         if len(toks) != r + 1:
@@ -165,10 +173,17 @@ def parse_matroid(text: str) -> MatroidOracle:
                 raise FormatError(no, f"element {e} outside ground set 0..{m - 1}")
         if b in bases:
             raise FormatError(no, f"duplicate basis {sorted(b)}")
-        bases.add(b)
+        bases[b] = no
     if not bases:
         item = lines.items[-1] if lines.items else (1, [])
         raise FormatError(item[0], "at least one BASIS line required")
+    if check_exchange:
+        violation = find_exchange_violation(bases)
+        if violation is not None:
+            a, x, b = violation
+            raise FormatError(bases[a], f"not a matroid: no element of "
+                                        f"{sorted(b)} can replace {x} in "
+                                        f"basis {sorted(a)}")
     return MatroidOracle(BasesRep(r, frozenset(bases)), name=name, ground_size=m)
 
 
@@ -213,10 +228,8 @@ def parse_grid_instance(text: str, base_dir: Path | str = ".",
         except OSError as exc:
             raise FormatError(no, f"cannot read matroid file {path!r}: {exc}") from None
         matroid = parse_matroid(matroid_text)
-    no, toks = lines.take("ROWS")
-    n = _parse_int(no, toks[1], "row count")
-    no, toks = lines.take("COLS")
-    k = _parse_int(no, toks[1], "column count")
+    no, n = lines.take_int("ROWS", "row count")
+    no, k = lines.take_int("COLS", "column count")
     if n < 0 or k < 0:
         raise FormatError(no, "dimensions must be nonnegative")
     if matroid.ground.size != n * k:

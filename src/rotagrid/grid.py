@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .matroid import MatroidOracle, tester_for
+from .matroid import (BasesRep, MatroidOracle, find_exchange_violation,
+                      tester_for)
 
 REQUIRED = "REQUIRED"
 NOT_REQUIRED = "NOT_REQUIRED"
@@ -140,7 +141,11 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
 
 
 def validate_instance(inst: GridInstance, check_basis_partition: bool = True) -> InstanceCheck:
-    """Check instance invariants and (optionally) the k-disjoint-bases hypothesis."""
+    """Check instance invariants and (optionally) the k-disjoint-bases hypothesis.
+
+    An explicit basis family must satisfy the exchange axiom: the solver's
+    pruning assumes the independent sets are closed under subsets.
+    """
     failures = []
     M = inst.matroid
     m = M.ground.size
@@ -153,6 +158,12 @@ def validate_instance(inst: GridInstance, check_basis_partition: bool = True) ->
         if seen & row:
             failures.append(f"row {i} overlaps an earlier row on {sorted(seen & row)}")
         seen |= row
+    if isinstance(M.rep, BasesRep):
+        violation = find_exchange_violation(M.rep.bases)
+        if violation is not None:
+            a, x, b = violation
+            failures.append(f"basis family is not a matroid: no element of "
+                            f"{sorted(b)} can replace {x} in {sorted(a)}")
     if M.rank_total != inst.n:
         failures.append(f"ground-set rank {M.rank_total} != n = {inst.n}")
     if inst.independence == REQUIRED:

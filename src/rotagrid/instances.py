@@ -6,9 +6,10 @@ and the eight-point rank-4 matroid J in its standard vector coordinates --
 plus the dependent-row family: McDiarmid's K4-with-doubled-spokes
 multigraph and, generally, odd wheels with duplicated spokes.
 
-The sweep machinery enumerates every admissible row family over a rank-3
-matroid on nine elements and solves each one; an unsolvable family would be
-a counterexample to three-column grid completion and is reported verbatim.
+The sweep decides every admissible row family over a rank-3 matroid on nine
+elements by solving the maximal ones up to row order; an unsolvable family
+would be a counterexample to three-column grid completion and is reported
+verbatim.
 """
 
 from __future__ import annotations
@@ -276,21 +277,17 @@ def random_rota_instance(n: int, seed: int):
 
 def enumerate_row_families(oracle: MatroidOracle, rows: int = 3,
                            cap: int = 3, require_independent: bool = True,
-                           _prefix_assign: Sequence[int] | None = None,
                            ) -> Iterator[tuple[frozenset[int], ...]]:
     """All ordered tuples of pairwise-disjoint row sets with |I_i| <= cap.
 
     Every element independently joins one row or none; a candidate row is
     pruned as soon as it exceeds the size cap or (when required) goes
     dependent, which is exact because independence is hereditary.
-    `_prefix_assign` pins the choices of the first elements (parallel sweep
-    support): entries are row indices or -1 for none.
     """
     m = oracle.ground.size
     table = oracle.build_rank_table() if m <= 12 else None
     masks = [0] * rows
     sizes = [0] * rows
-    pinned = list(_prefix_assign or ())
 
     def indep(mask: int) -> bool:
         if table is not None:
@@ -298,17 +295,12 @@ def enumerate_row_families(oracle: MatroidOracle, rows: int = 3,
         return oracle.rank([i for i in range(m) if mask >> i & 1]) \
             == bin(mask).count("1")
 
-    def emit():
-        return tuple(frozenset(i for i in range(m) if masks[r] >> i & 1)
-                     for r in range(rows))
-
     def rec(e: int) -> Iterator[tuple[frozenset[int], ...]]:
         if e == m:
-            yield emit()
+            yield _row_sets(masks, m)
             return
-        choices = (pinned[e],) if e < len(pinned) else range(-1, rows)
         bit = 1 << e
-        for r in choices:
+        for r in range(-1, rows):
             if r < 0:
                 yield from rec(e + 1)
                 continue
@@ -326,11 +318,68 @@ def enumerate_row_families(oracle: MatroidOracle, rows: int = 3,
     yield from rec(0)
 
 
-def _sweep_chunk(args) -> tuple[int, int, int, list]:
-    oracle, prefix = args
+def _row_sets(masks: Sequence[int], m: int) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(e for e in range(m) if mask >> e & 1)
+                 for mask in masks)
+
+
+def _count_families(indep: Sequence[int], m: int) -> int:
+    """Exact number of families `enumerate_row_families` yields (3 rows, cap 3).
+
+    h[S] counts the independent sets inside S (a subset-sum transform);
+    the third row of a family with first rows A, B is any independent subset
+    of the complement of A | B.  Every independent set of a rank-3 matroid
+    has at most 3 elements, so the size cap is implied.
+    """
+    full = (1 << m) - 1
+    h = [0] * (1 << m)
+    for s in indep:
+        h[s] = 1
+    for e in range(m):
+        bit = 1 << e
+        for s in range(1 << m):
+            if s & bit:
+                h[s] += h[s ^ bit]
+    return sum(h[full & ~(a | b)] for a in indep for b in indep if not a & b)
+
+
+def _canonical_maximal_families(table: Sequence[int], indep: Sequence[int],
+                                m: int) -> Iterator[tuple[int, int, int]]:
+    """Row masks a <= b <= c of every maximal family over a rank-3 matroid.
+
+    A family is maximal when no unused element can join a row of size
+    under 3 and keep it independent.  `ext[s]` holds the elements outside s
+    that keep s independent (none once s is full), so maximality says the
+    third row contains every element the first two rows could still take,
+    and takes nothing more itself.
+    """
+    full = (1 << m) - 1
+    ext = {}
+    for s in indep:
+        ext[s] = 0
+        if table[s] < 3:
+            for e in range(m):
+                bit = 1 << e
+                if not s & bit and table[s | bit] > table[s]:
+                    ext[s] |= bit
+    for a in indep:
+        for b in indep:
+            if b < a or a & b:
+                continue
+            rest = full & ~(a | b)
+            need = (ext[a] | ext[b]) & rest
+            if need not in ext:       # the third row could not hold it
+                continue
+            for c in indep:
+                if c >= b and not c & ~rest and c & need == need \
+                        and not ext[c] & rest:
+                    yield a, b, c
+
+
+def _sweep_exhaustive(oracle: MatroidOracle) -> SweepReport:
     families = sat = unsat = 0
     examples = []
-    for rows in enumerate_row_families(oracle, _prefix_assign=prefix):
+    for rows in enumerate_row_families(oracle):
         inst = GridInstance(oracle, 3, 3, rows, REQUIRED)
         families += 1
         if solve(inst).status == SAT:
@@ -339,40 +388,43 @@ def _sweep_chunk(args) -> tuple[int, int, int, list]:
             unsat += 1
             if len(examples) < 16:
                 examples.append(tuple(tuple(sorted(r)) for r in rows))
-    return families, sat, unsat, examples
+    return SweepReport(oracle.name or "matroid", families, sat, unsat,
+                       tuple(sorted(examples)))
 
 
 def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepReport:
-    """Solve every admissible independent row family over `oracle`.
+    """Decide every admissible independent row family over `oracle`.
 
     Requires a rank-3 matroid on nine elements that is a disjoint union of
     three bases.  Reports totals and every unsolvable family verbatim (up to
     16 retained examples); any nonzero `unsat` is a counterexample to
     three-column grid completion.
+
+    Only the maximal families with row masks in nondecreasing order are
+    solved.  That is exact: a grid for rows I'_i containing I_i is a grid for
+    the rows I_i, and permuting the rows of a grid gives a grid for the
+    permuted rows, so every family is solvable once each of these is.  The
+    family total is counted without enumerating the families.  Should a
+    maximal family be unsolvable, every family is enumerated and solved,
+    which yields the exact `sat`, `unsat` and examples.  `processes` is accepted
+    for compatibility and ignored: the sweep runs in the calling process.
     """
-    if oracle.ground.size != 9:
-        raise ValueError(f"sweep needs 9 elements, got {oracle.ground.size}")
+    m = oracle.ground.size
+    if m != 9:
+        raise ValueError(f"sweep needs 9 elements, got {m}")
     if oracle.rank_total != 3:
         raise ValueError(f"sweep needs rank 3, got {oracle.rank_total}")
     if find_basis_partition(oracle, 3) is None:
         raise ValueError("sweep needs a disjoint union of three bases")
 
-    if processes > 1:
-        # split on the first two element assignments: 16 independent chunks
-        prefixes = [(a, b) for a in range(-1, 3) for b in range(-1, 3)]
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
-            parts = pool.map(_sweep_chunk, [(oracle, p) for p in prefixes])
-    else:
-        parts = [_sweep_chunk((oracle, None))]
-
-    families = sum(p[0] for p in parts)
-    sat = sum(p[1] for p in parts)
-    unsat = sum(p[2] for p in parts)
-    examples = sorted(ex for p in parts for ex in p[3])[:16]
-    return SweepReport(oracle.name or "matroid", families, sat, unsat,
-                       tuple(examples))
+    table = oracle.build_rank_table()
+    indep = [s for s in range(1 << m) if table[s] == bin(s).count("1")]
+    for masks in _canonical_maximal_families(table, indep, m):
+        inst = GridInstance(oracle, 3, 3, _row_sets(masks, m), REQUIRED)
+        if solve(inst).status != SAT:
+            return _sweep_exhaustive(oracle)
+    families = _count_families(indep, m)
+    return SweepReport(oracle.name or "matroid", families, families, 0, ())
 
 
 def c3_catalog(seed: int = 0, linear: int = 25, graphic: int = 25):

@@ -158,6 +158,45 @@ def test_check_matroid_parse_error(tmp_path):
     assert run(["check-matroid", "--matroid", str(bad)]) == 2
 
 
+GOOD_MATROID = "MATROID v1\nNAME g\nGROUND 2\nTYPE GRAPHIC\nVERTICES 2\n" \
+               "EDGE 0 1\nEDGE 0 1\n"
+TRUNCATED = {   # keyword -> (matroid file, grid file or None, error line)
+    "DIM": ("MATROID v1\nNAME t\nGROUND 2\nTYPE LINEAR\nDIM\n", None, 5),
+    "VERTICES": ("MATROID v1\nNAME t\nGROUND 2\nTYPE GRAPHIC\nVERTICES\n",
+                 None, 5),
+    "RANK": ("MATROID v1\nNAME t\nGROUND 2\nTYPE BASES\nRANK\n", None, 5),
+    "ROWS": (GOOD_MATROID, "GRIDINSTANCE v1\nMATROID m.matroid\nROWS\n", 3),
+    "COLS": (GOOD_MATROID,
+             "GRIDINSTANCE v1\nMATROID m.matroid\nROWS 1\nCOLS\n", 4),
+}
+
+
+@pytest.mark.parametrize("keyword", sorted(TRUNCATED))
+def test_truncated_keyword_line_is_input_error(keyword, tmp_path, capsys):
+    matroid_text, grid_text, line = TRUNCATED[keyword]
+    (tmp_path / "m.matroid").write_text(matroid_text)
+    if grid_text is None:
+        argv = ["check-matroid", "--matroid", str(tmp_path / "m.matroid")]
+    else:
+        (tmp_path / "g.grid").write_text(grid_text)
+        argv = ["solve", "--grid-instance", str(tmp_path / "g.grid")]
+    assert run(argv) == 2
+    assert f"line {line}: {keyword} takes exactly one" in capsys.readouterr().err
+
+
+def test_non_matroid_basis_family_is_input_error(tmp_path, capsys):
+    (tmp_path / "bad.matroid").write_text(
+        "MATROID v1\nNAME bad\nGROUND 4\nTYPE BASES\nRANK 2\n"
+        "BASIS 0 1\nBASIS 2 3\n")
+    (tmp_path / "bad.grid").write_text(
+        "GRIDINSTANCE v1\nMATROID bad.matroid\nROWS 2\nCOLS 2\n"
+        "INDEPENDENCE REQUIRED\nROW 0:\nROW 1:\n")
+    for extra in ([], ["--skip-hypothesis-check"]):
+        assert run(["solve", "--grid-instance", str(tmp_path / "bad.grid"),
+                    *extra]) == 2
+        assert "line 6: not a matroid" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert run(["solve", "--grid-instance", str(tmp_path / "nope.grid")]) == 2
 
@@ -171,6 +210,19 @@ def test_module_invocation(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert (tmp_path / "k4-c2.matroid").exists()
+
+
+@pytest.mark.parametrize("digest,valid", [
+    ("NOT-A-DIGEST", False), ("ab" * 31, False), ("AB" * 32, False),
+    ("ab" * 32, True), (None, True)])
+def test_schema_constrains_digest(digest, valid):
+    report = {"command": ["rotagrid"], "version": "0", "kind": "instance",
+              "digest": digest, "result": {}}
+    if valid:
+        jsonschema.validate(report, SCHEMA)
+    else:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, SCHEMA)
 
 
 def test_parallel_count_rejected(tmp_path):

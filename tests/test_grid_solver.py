@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, GridInstance,
-                      MatroidOracle, brute_force_count, count_solutions,
+from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
+                      GridInstance, MatroidOracle, brute_force_count,
+                      count_solutions,
                       find_basis_partition, k4_c2_instance,
                       mcdiarmid_instance, solve, uniform_matroid,
                       validate_grid, validate_instance)
@@ -158,6 +159,15 @@ def test_validate_reports_missing_partition():
     check2 = validate_instance(inst2)
     assert not check2
     assert any("disjoint union" in f for f in check2.failures)
+
+
+def test_validate_rejects_basis_family_that_is_not_a_matroid():
+    # {01, 23} breaks exchange: 0 cannot be swapped out of 01 for 2 or 3
+    m = MatroidOracle(BasesRep.from_sets(2, [{0, 1}, {2, 3}]))
+    inst = GridInstance(m, 2, 2, (frozenset(), frozenset()))
+    check = validate_instance(inst, check_basis_partition=False)
+    assert not check
+    assert any("not a matroid" in f for f in check.failures)
 
 
 # --- find_basis_partition ------------------------------------------------------------

@@ -15,6 +15,8 @@ from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, MatroidOracle,
                       random_rota_instance, solve, u39_instance,
                       uniform_matroid, validate_instance, verify_basis_axioms,
                       verify_c3_for_matroid)
+from rotagrid.grid import SolveReport
+from rotagrid.instances import _canonical_maximal_families, _sweep_exhaustive
 
 J_ROW_VECTORS = {
     0: {(-2, 3, 0, 1), (0, 0, 1, 1)},
@@ -266,8 +268,61 @@ def test_sweep_mcdiarmid_matroid_all_solvable(mcd):
     assert report.families > 0
 
 
-def test_sweep_chunked_equals_single(u39):
-    whole = verify_c3_for_matroid(u39)
-    split = verify_c3_for_matroid(u39, processes=2)
-    assert (whole.families, whole.sat, whole.unsat) == \
-        (split.families, split.sat, split.unsat)
+SWEEP_MATROIDS = {
+    "u39": lambda: uniform_matroid(3, 9, name="u39"),
+    "linear-s0": lambda: random_linear_matroid(3, 9, seed=0),
+    "linear-s1": lambda: random_linear_matroid(3, 9, seed=1),
+    "graphic-s500": lambda: random_graphic_matroid(4, 9, seed=500),
+    "graphic-s501": lambda: random_graphic_matroid(4, 9, seed=501),
+}
+
+
+def _is_maximal(oracle, fam):
+    used = frozenset().union(*fam)
+    return not any(len(row) < 3 and oracle.is_independent(row | {e})
+                   for row in fam for e in range(9) if e not in used)
+
+
+def _masks(fam):
+    return tuple(sum(1 << e for e in row) for row in fam)
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_MATROIDS))
+def test_sweep_counts_and_maximal_families_match_enumeration(key):
+    oracle = SWEEP_MATROIDS[key]()
+    enumerated = list(enumerate_row_families(oracle))
+    assert verify_c3_for_matroid(oracle).families == len(enumerated)
+    table = oracle.build_rank_table()
+    indep = [s for s in range(512) if table[s] == bin(s).count("1")]
+    generated = list(_canonical_maximal_families(table, indep, 9))
+    expected = sorted(_masks(fam) for fam in enumerated
+                      if list(_masks(fam)) == sorted(_masks(fam))
+                      and _is_maximal(oracle, fam))
+    assert sorted(generated) == expected
+    assert len(set(generated)) == len(generated)
+
+
+@pytest.mark.parametrize("key", ["u39", "graphic-s500"])
+def test_sweep_report_equals_exhaustive_sweep(key):
+    oracle = SWEEP_MATROIDS[key]()
+    assert verify_c3_for_matroid(oracle) == _sweep_exhaustive(oracle)
+
+
+def test_sweep_falls_back_to_every_family_on_unsat(u39, monkeypatch):
+    import rotagrid.instances as instances
+    real_solve = instances.solve
+    target = (frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8}))
+    calls = []
+
+    def solve_refusing_target(inst, *args, **kwargs):
+        calls.append(inst.rows)
+        if inst.rows == target:
+            return SolveReport("UNSAT", None, None, 0, 0.0)
+        return real_solve(inst, *args, **kwargs)
+
+    monkeypatch.setattr(instances, "solve", solve_refusing_target)
+    report = verify_c3_for_matroid(u39)
+    assert calls.count(target) == 2       # once as maximal, once in fallback
+    assert len(calls) > report.families
+    assert (report.families, report.sat, report.unsat) == (136348, 136347, 1)
+    assert report.unsat_examples == (((0, 1, 2), (3, 4, 5), (6, 7, 8)),)
