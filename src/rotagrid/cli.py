@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .descent import RotaInstance, descent_step, initial_double_partition, mu, rota_solve
+from .descent import (CounterexampleCertificate, RotaInstance, descent_step,
+                      initial_double_partition, mu, rota_solve)
 from .formats import (FormatError, instance_digest, matroid_digest,
-                      parse_grid_instance, parse_matroid, serialize_grid_instance,
-                      serialize_matroid, write_instance_files)
+                      parse_grid_instance, parse_matroid, write_instance_files)
 from .grid import GridInstance, find_basis_partition, solve, validate_instance
 from .instances import (builtin_instance, builtin_names, c3_catalog,
                         verify_c3_for_matroid)
@@ -53,7 +53,9 @@ def _load_instance(args) -> GridInstance:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    return parse_grid_instance(text, base_dir=path.parent)
+    inst = parse_grid_instance(text, base_dir=path.parent)
+    args.cells = inst.n * inst.k
+    return inst
 
 
 def _load_matroid_or_builtin(source: str) -> MatroidOracle:
@@ -89,6 +91,7 @@ def _rota_instance_from_args(args) -> RotaInstance:
     if oracle.ground.size != n * n:
         raise CliError(f"rota needs rank^2 elements; matroid has rank {n} "
                        f"on {oracle.ground.size} elements")
+    args.cells = oracle.ground.size
     parts = find_basis_partition(oracle, n)
     if parts is None:
         raise CliError("matroid does not split into rank-many disjoint bases")
@@ -107,7 +110,7 @@ def _check_hypotheses(args, inst: GridInstance) -> None:
 def _cmd_solve(args, mode: str) -> int:
     inst = _load_instance(args)
     _check_hypotheses(args, inst)
-    report = solve(inst, mode=mode, processes=args.parallel)
+    report = solve(inst, mode=mode)
     digest = instance_digest(inst)
     _write_report(args, "count" if mode == "count" else "solve", digest,
                   report.to_dict())
@@ -120,22 +123,6 @@ def _cmd_solve(args, mode: str) -> int:
             for row in report.grid:
                 print(" ".join(str(e) for e in row))
     return OK if report.status == "SAT" else FOUND_COUNTEREXAMPLE
-
-
-def _trace_steps_dict(trace) -> list[dict]:
-    out = []
-    for s in trace.steps:
-        out.append({
-            "block": list(s.block),
-            "mu_before": s.mu_before,
-            "mu_after": s.mu_after,
-            "subinstance": serialize_grid_instance(s.subinstance.instance,
-                                                   matroid_path="inline"),
-            "submatroid": serialize_matroid(s.subinstance.instance.matroid),
-            "nodes": s.report.nodes,
-            "millis": s.report.millis,
-        })
-    return out
 
 
 def _export_certificate(cert, directory: Path, stem: str) -> list[str]:
@@ -159,7 +146,7 @@ def _cmd_rota(args) -> int:
         _write_report(args, "rota", digest, {
             "status": "GRID",
             "grid": [list(r) for r in trace.grid],
-            "steps": _trace_steps_dict(trace),
+            "steps": [s.to_dict() for s in trace.steps],
         })
         return OK
     files = _export_certificate(trace.certificate, Path(args.out),
@@ -169,7 +156,7 @@ def _cmd_rota(args) -> int:
     _write_report(args, "rota", digest, {
         "status": "CERTIFICATE",
         "grid": None,
-        "steps": _trace_steps_dict(trace),
+        "steps": [s.to_dict() for s in trace.steps],
         "certificate_files": files,
     })
     return FOUND_COUNTEREXAMPLE
@@ -192,8 +179,6 @@ def _cmd_descent_step(args) -> int:
     if inst.n < 3 or args.k < 3 or args.k > inst.n:
         raise CliError(f"descent needs 3 <= k <= n; got k={args.k}, n={inst.n}")
     outcome = descent_step(inst, dp, k=args.k)
-    from .descent import CounterexampleCertificate
-
     if isinstance(outcome, CounterexampleCertificate):
         files = _export_certificate(outcome, Path(args.out), "certificate")
         print("CERTIFICATE: block subproblem unsolvable; exported to "
@@ -204,16 +189,8 @@ def _cmd_descent_step(args) -> int:
     new_dp, step = outcome
     print(f"block {list(step.block)}: mu {step.mu_before} -> {step.mu_after} "
           f"({step.report.nodes} nodes)")
-    _write_report(args, "descent-step", digest, {
-        "mu": step.mu_before,
-        "step": {
-            "block": list(step.block),
-            "mu_before": step.mu_before,
-            "mu_after": step.mu_after,
-            "nodes": step.report.nodes,
-            "millis": step.report.millis,
-        },
-    })
+    _write_report(args, "descent-step", digest,
+                  {"mu": step.mu_before, "step": step.to_dict()})
     return OK
 
 
@@ -230,7 +207,7 @@ def _cmd_verify_c3(args) -> int:
     total_unsat = 0
     for oracle in oracles:
         try:
-            rep = verify_c3_for_matroid(oracle, processes=args.parallel)
+            rep = verify_c3_for_matroid(oracle)
         except ValueError as exc:
             raise CliError(str(exc)) from None
         reports.append(rep)
@@ -303,15 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_common(p, grid_instance=False, matroid=False, k=False,
-                   parallel=False, seed=False, out=False, skip=False):
+                   seed=False, out=False, skip=False):
         if grid_instance:
             p.add_argument("--grid-instance", metavar="PATH")
         if matroid:
             p.add_argument("--matroid", metavar="PATH")
         if k:
             p.add_argument("--k", type=int, default=3)
-        if parallel:
-            p.add_argument("--parallel", type=int, default=1, metavar="N")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if out:
@@ -321,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", metavar="PATH")
 
     p = sub.add_parser("solve", help="decide a grid instance")
-    add_common(p, grid_instance=True, parallel=True, skip=True)
+    add_common(p, grid_instance=True, skip=True)
     p.add_argument("--mode", choices=["decide", "count"], default="decide")
 
     p = sub.add_parser("count", help="count all grids of an instance")
@@ -335,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-c3",
                        help="sweep all row families over 9-element matroids")
-    add_common(p, matroid=True, parallel=True, seed=True)
+    add_common(p, matroid=True, seed=True)
     p.add_argument("--linear", type=int, default=25, metavar="N")
     p.add_argument("--graphic", type=int, default=25, metavar="N")
 
@@ -354,11 +329,8 @@ def run(argv: list[str]) -> int:
     args._argv = ["rotagrid", *argv]
     try:
         if args.cmd == "solve":
-            if args.parallel > 1 and args.mode == "count":
-                raise CliError("--parallel is not allowed in count mode")
             return _cmd_solve(args, args.mode)
         if args.cmd == "count":
-            args.parallel = 1
             return _cmd_solve(args, "count")
         if args.cmd == "rota":
             return _cmd_rota(args)
@@ -378,6 +350,12 @@ def run(argv: list[str]) -> int:
         return USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except RecursionError:
+        # both searches recurse once per cell, so depth grows with the instance
+        print(f"error: an instance of {getattr(args, 'cells', '?')} cells is "
+              f"too deep for the recursive search (recursion limit "
+              f"{sys.getrecursionlimit()})", file=sys.stderr)
         return USAGE
 
 

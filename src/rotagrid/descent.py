@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .formats import serialize_grid_instance, serialize_matroid
 from .grid import (REQUIRED, Grid, GridInstance, SolveReport, solve,
                    validate_grid)
 from .matroid import MatroidOracle, is_disjoint_union_of_bases
@@ -238,6 +239,18 @@ class DescentStep:
     subinstance: Subinstance
     report: SolveReport
 
+    def to_dict(self) -> dict:
+        return {
+            "block": list(self.block),
+            "mu_before": self.mu_before,
+            "mu_after": self.mu_after,
+            "subinstance": serialize_grid_instance(self.subinstance.instance,
+                                                   matroid_path="inline"),
+            "submatroid": serialize_matroid(self.subinstance.instance.matroid),
+            "nodes": self.report.nodes,
+            "millis": self.report.millis,
+        }
+
 
 @dataclass(frozen=True)
 class DescentTrace:
@@ -251,21 +264,7 @@ class DescentTrace:
         return self.grid is not None
 
     def to_json(self) -> str:
-        from .formats import serialize_grid_instance, serialize_matroid
-
-        steps = []
-        for s in self.steps:
-            steps.append({
-                "block": list(s.block),
-                "mu_before": s.mu_before,
-                "mu_after": s.mu_after,
-                "subinstance": serialize_grid_instance(s.subinstance.instance,
-                                                       matroid_path="inline"),
-                "submatroid": serialize_matroid(s.subinstance.instance.matroid),
-                "nodes": s.report.nodes,
-                "millis": s.report.millis,
-            })
-        return json.dumps(steps, indent=2)
+        return json.dumps([s.to_dict() for s in self.steps], indent=2)
 
 
 Solver = Callable[[GridInstance], SolveReport]

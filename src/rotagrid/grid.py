@@ -200,7 +200,7 @@ def _parallel_row_classes(inst: GridInstance, row_of: Sequence[int]):
 
 
 def _search(inst: GridInstance, mode: str, break_columns: bool,
-            break_parallel: bool, fixed_first: int | None = None):
+            break_parallel: bool):
     """Core backtracking run.  Returns (count, first_grid, nodes)."""
     M = inst.matroid
     n, k = inst.n, inst.k
@@ -283,84 +283,21 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
                 return True
         return False
 
-    if fixed_first is not None:
-        # worker for a split top-level branch: pre-place cell (0, 0)
-        e = fixed_first
-        used[e] = 1
-        cells[0] = e
-        testers[0].push(e)
-        cells_left[0] -= 1
-        if row_of[e] == 0:
-            need[0] -= 1
-        nodes += 1
-        step(1)
-    else:
-        step(0)
+    step(0)
     return count, first, nodes
 
 
-def _top_branches(inst: GridInstance, break_parallel: bool) -> list[int]:
-    """Legal candidates for cell (0, 0) under decision-mode filters."""
-    M = inst.matroid
-    if M.ground.size == 0:
-        return []
-    row_of = [-1] * M.ground.size
-    for i, row in enumerate(inst.rows):
-        for e in row:
-            row_of[e] = i
-    class_members = (_parallel_row_classes(inst, row_of) if break_parallel
-                     else [None] * M.ground.size)
-    need0 = len(inst.rows[0])
-    out = []
-    for e in sorted(inst.rows[0] | {x for x in range(M.ground.size) if row_of[x] < 0}):
-        if need0 == inst.k and row_of[e] != 0:
-            continue
-        group = class_members[e]
-        if group is not None and group[0] != e:
-            continue
-        if M.rank((e,)) == 1:
-            out.append(e)
-    return out
-
-
-def _branch_worker(args):
-    inst, break_columns, break_parallel, e = args
-    count, grid, nodes = _search(inst, "decide", break_columns, break_parallel,
-                                 fixed_first=e)
-    return count, grid, nodes
-
-
-def solve(inst: GridInstance, mode: str = "decide", *, processes: int = 1,
+def solve(inst: GridInstance, mode: str = "decide", *,
           break_columns: bool = True, break_parallel: bool = True) -> SolveReport:
     """Solve (decision) or count grids for `inst`.
 
     Deterministic for a fixed instance: reports are identical across runs up
-    to `millis`.  `processes` > 1 splits the top-level branch set across
-    worker processes; it preserves the SAT/UNSAT answer and the returned
-    grid, and is rejected in count mode where exact totals require a single
-    exhaustive enumeration order.
+    to `millis`.
     """
     if mode not in ("decide", "count"):
         raise ValueError(f"bad mode {mode!r}")
-    if processes > 1 and mode == "count":
-        raise ValueError("parallel search is forbidden in count mode")
     t0 = time.perf_counter()
-    if processes > 1 and mode == "decide" and inst.n * inst.k > 0 \
-            and inst.matroid.rank_total == inst.n and not inst.matroid.loops():
-        branches = _top_branches(inst, break_parallel)
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(processes) as pool:
-            results = pool.map(
-                _branch_worker,
-                [(inst, break_columns, break_parallel, e) for e in branches])
-        nodes = sum(r[2] for r in results)
-        count, grid = 0, None
-        for cnt, g, _ in results:          # branch order fixes the returned grid
-            if cnt and grid is None:
-                count, grid = cnt, g
-    else:
-        count, grid, nodes = _search(inst, mode, break_columns, break_parallel)
+    count, grid, nodes = _search(inst, mode, break_columns, break_parallel)
     millis = (time.perf_counter() - t0) * 1000.0
     status = "SAT" if count > 0 else "UNSAT"
     return SolveReport(status=status, grid=grid if status == "SAT" else None,

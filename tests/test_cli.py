@@ -8,7 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rotagrid import parse_grid_instance, validate_grid
+from rotagrid import (RotaInstance, builtin_instance, parse_grid_instance,
+                      rota_solve, validate_grid)
 from rotagrid.cli import run
 
 SCHEMA = json.loads(
@@ -113,13 +114,15 @@ def test_descent_step_reports_mu_drop(tmp_path):
     report = load_report(tmp_path / "step.json")
     step = report["result"]["step"]
     assert step["mu_before"] > step["mu_after"]
+    assert step["subinstance"].startswith("GRIDINSTANCE v1")
+    assert step["submatroid"].startswith("MATROID v1")
 
 
 # --- verify-c3 ---------------------------------------------------------------------
 
 def test_verify_c3_single_matroid(tmp_path):
     code = run(["verify-c3", "--matroid", "u39",
-                "--parallel", "2", "--json", str(tmp_path / "sweep.json")])
+                "--json", str(tmp_path / "sweep.json")])
     assert code == 0
     report = load_report(tmp_path / "sweep.json")
     sweep = report["result"]["reports"][0]
@@ -217,18 +220,14 @@ def test_module_invocation(tmp_path):
     ("ab" * 32, True), (None, True)])
 def test_schema_constrains_digest(digest, valid):
     report = {"command": ["rotagrid"], "version": "0", "kind": "instance",
-              "digest": digest, "result": {}}
+              "digest": digest,
+              "result": {"name": "u39", "expected": "SWEEP", "note": "",
+                         "files": []}}
     if valid:
         jsonschema.validate(report, SCHEMA)
     else:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(report, SCHEMA)
-
-
-def test_parallel_count_rejected(tmp_path):
-    grid = materialize("u39", tmp_path)
-    assert run(["solve", "--grid-instance", str(grid),
-                "--mode", "count", "--parallel", "2"]) == 2
 
 
 def test_every_builtin_has_specified_exit_code(tmp_path):
@@ -237,3 +236,75 @@ def test_every_builtin_has_specified_exit_code(tmp_path):
     for name, code in expected.items():
         grid = materialize(name, tmp_path)
         assert run(["solve", "--grid-instance", str(grid)]) == code, name
+
+
+def test_parallel_flag_is_gone(tmp_path):
+    grid = materialize("u39", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--grid-instance", str(grid), "--parallel", "2"])
+    assert exc.value.code == 2
+
+
+def test_too_deep_instance_is_input_error(tmp_path, capsys):
+    grid = materialize("odd-wheel-33", tmp_path)
+    assert run(["solve", "--grid-instance", str(grid)]) == 2
+    assert "1089 cells is too deep" in capsys.readouterr().err
+
+
+def test_rota_steps_match_trace_serializer(tmp_path):
+    named = builtin_instance("u39").instance
+    trace = rota_solve(RotaInstance(named.matroid, named.rows))
+    assert run(["rota", "--matroid", "u39",
+                "--json", str(tmp_path / "rota.json")]) == 0
+    steps = load_report(tmp_path / "rota.json")["result"]["steps"]
+    expected = json.loads(trace.to_json())
+    assert steps and len(steps) == len(expected)
+    for got, want in zip(steps, expected):
+        got.pop("millis"), want.pop("millis")
+        assert got == want
+
+
+def _report(kind, result):
+    return {"command": ["rotagrid"], "version": "0", "kind": kind,
+            "digest": None, "result": result}
+
+
+SOLVE_RESULT = {"status": "UNSAT", "grid": None, "count": 0, "nodes": 3,
+                "millis": 0.1}
+STEP = {"block": [0, 1, 2], "mu_before": 6, "mu_after": 4, "nodes": 9,
+        "millis": 0.5}
+CHECK_RESULT = {"name": "m", "elements": 4, "rank": 2, "ok": True,
+                "violation": None}
+
+
+@pytest.mark.parametrize("kind,result", [
+    ("descent-step", {"step": None}),
+    ("descent-step", {"mu": 6, "step": {"block": [0, 1, 2]}}),
+    ("descent-step", {"mu": 0, "step": None, "certificate_files": "c.grid"}),
+    ("count", dict(SOLVE_RESULT, count=None)),
+    ("verify-c3", {"reports": []}),
+    ("verify-c3", {"total_unsat": 0}),
+    ("instance", {"name": "u39", "expected": "MAYBE", "note": "",
+                  "files": []}),
+    ("instance", {"name": "u39", "expected": "SAT", "note": ""}),
+    ("check-matroid", dict(CHECK_RESULT, ok="yes")),
+    ("check-matroid", dict(CHECK_RESULT, violation={"removed": 1})),
+    ("check-matroid", {"name": "m", "elements": 4, "rank": 2}),
+])
+def test_schema_rejects_malformed_result(kind, result):
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(_report(kind, result), SCHEMA)
+
+
+@pytest.mark.parametrize("kind,result", [
+    ("descent-step", {"mu": 0, "step": None}),
+    ("descent-step", {"mu": 6, "step": STEP}),
+    ("descent-step", {"mu": 6, "step": None, "certificate_files": ["c.grid"]}),
+    ("count", SOLVE_RESULT),
+    ("solve", dict(SOLVE_RESULT, count=None)),
+    ("verify-c3", {"reports": [], "total_unsat": 0}),
+    ("check-matroid", dict(CHECK_RESULT, ok=False, violation={
+        "basis": [0, 1], "removed": 0, "against": [2, 3]})),
+])
+def test_schema_accepts_wellformed_result(kind, result):
+    jsonschema.validate(_report(kind, result), SCHEMA)

@@ -206,20 +206,6 @@ def test_symmetry_breaking_preserves_answers():
         assert plain.status == broken.status
 
 
-def test_parallel_decision_matches_sequential():
-    inst = mcdiarmid_instance().instance
-    seq = solve(inst)
-    par = solve(inst, processes=2)
-    assert (seq.status, seq.grid) == (par.status, par.grid)
-    sat = u39_inst(rows=((0, 4), (1,), (2, 8)))
-    assert solve(sat, processes=2).grid == solve(sat).grid
-
-
-def test_parallel_count_forbidden():
-    with pytest.raises(ValueError):
-        solve(u39_inst(), mode="count", processes=2)
-
-
 def test_monotone_row_relaxation():
     rows = ((0, 4, 8), (1, 5), (2,))
     full = u39_inst(rows=rows)
