@@ -17,8 +17,8 @@ from pathlib import Path
 from . import __version__
 from .descent import (CounterexampleCertificate, RotaInstance, descent_step,
                       initial_double_partition, mu, rota_solve)
-from .formats import (FormatError, instance_digest, matroid_digest,
-                      parse_grid_instance, parse_matroid, write_instance_files)
+from .formats import (instance_digest, matroid_digest, parse_grid_instance,
+                      parse_matroid, write_instance_files)
 from .grid import GridInstance, find_basis_partition, solve, validate_instance
 from .instances import (builtin_instance, builtin_names, c3_catalog,
                         verify_c3_for_matroid)
@@ -98,6 +98,17 @@ def _rota_instance_from_args(args) -> RotaInstance:
     return RotaInstance(oracle, parts)
 
 
+def _load_rota_instance(args) -> tuple[RotaInstance, str]:
+    """The checked full-basis-row instance and its digest."""
+    inst = _rota_instance_from_args(args)
+    try:
+        inst.check()
+    except ValueError as exc:
+        raise CliError(f"not a valid full-basis-row instance: {exc}") from None
+    return inst, instance_digest(GridInstance(inst.matroid, inst.n, inst.n,
+                                              inst.bases))
+
+
 def _check_hypotheses(args, inst: GridInstance) -> None:
     if getattr(args, "skip_hypothesis_check", False):
         return
@@ -131,14 +142,8 @@ def _export_certificate(cert, directory: Path, stem: str) -> list[str]:
 
 
 def _cmd_rota(args) -> int:
-    inst = _rota_instance_from_args(args)
-    try:
-        inst.check()
-    except ValueError as exc:
-        raise CliError(f"not a valid full-basis-row instance: {exc}") from None
+    inst, digest = _load_rota_instance(args)
     trace = rota_solve(inst, k=args.k)
-    digest = instance_digest(GridInstance(inst.matroid, inst.n, inst.n,
-                                          inst.bases))
     if trace.grid is not None:
         print(f"GRID after {len(trace.steps)} descent steps")
         for row in trace.grid:
@@ -163,13 +168,7 @@ def _cmd_rota(args) -> int:
 
 
 def _cmd_descent_step(args) -> int:
-    inst = _rota_instance_from_args(args)
-    try:
-        inst.check()
-    except ValueError as exc:
-        raise CliError(f"not a valid full-basis-row instance: {exc}") from None
-    digest = instance_digest(GridInstance(inst.matroid, inst.n, inst.n,
-                                          inst.bases))
+    inst, digest = _load_rota_instance(args)
     dp = initial_double_partition(inst)
     if mu(dp) == 0:
         print("mu = 0 already; nothing to descend")
@@ -345,10 +344,7 @@ def run(argv: list[str]) -> int:
                 raise CliError("check-matroid needs --matroid PATH")
             return _cmd_check_matroid(args)
         raise CliError(f"unknown command {args.cmd!r}")
-    except (CliError, FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except ValueError as exc:
+    except (CliError, OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:

@@ -111,38 +111,20 @@ def initial_double_partition(inst: RotaInstance) -> DoublePartition:
     return DoublePartition(inst.bases, tau)
 
 
-def select_block(dp: DoublePartition, k: int, rule: str = "lex") -> tuple[int, ...]:
+def select_block(dp: DoublePartition, k: int) -> tuple[int, ...]:
     """Indices of the beta/tau parts to regroup, as a sorted k-tuple.
 
-    The block contains the first pair (i, j), i != j, with beta_i ∩ tau_j
-    nonempty -- lexicographically first under rule "lex", largest
-    intersection first (ties lexicographic) under rule "max" -- padded with
-    the smallest indices outside {i, j}.
+    The block contains the lexicographically first pair (i, j), i != j, with
+    beta_i ∩ tau_j nonempty, padded with the smallest indices outside {i, j}.
     """
     n = len(dp.beta)
     if k > n:
         raise ValueError(f"block size {k} exceeds {n} parts")
-    if rule not in ("lex", "max"):
-        raise ValueError(f"unknown block rule {rule!r}")
-    best: tuple[int, int] | None = None
-    best_size = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            size = len(dp.beta[i] & dp.tau[j])
-            if size == 0:
-                continue
-            if rule == "lex":
-                best = (i, j)
-                break
-            if size > best_size:
-                best, best_size = (i, j), size
-        if rule == "lex" and best is not None:
-            break
-    if best is None:
+    first = next(((i, j) for i in range(n) for j in range(n)
+                  if i != j and dp.beta[i] & dp.tau[j]), None)
+    if first is None:
         raise ValueError("mu is zero: no off-diagonal intersection to fix")
-    block = {best[0], best[1]}
+    block = set(first)
     for idx in range(n):
         if len(block) == k:
             break
@@ -275,7 +257,7 @@ def _default_solver(instance: GridInstance) -> SolveReport:
 
 
 def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
-                 solver: Solver = _default_solver, block_rule: str = "lex"):
+                 solver: Solver = _default_solver):
     """One potential-reducing step.
 
     Returns (new_dp, DescentStep) on success, or a CounterexampleCertificate
@@ -284,7 +266,7 @@ def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
     if inst.n < 3 or k < 3:
         raise ValueError("descent requires n >= 3 and block size k >= 3")
     mu_before = mu(dp)
-    block = select_block(dp, k, block_rule)   # raises when mu is zero
+    block = select_block(dp, k)   # raises when mu is zero
     sub = build_subinstance(inst, dp, block)
     report = solver(sub.instance)
     if report.status != "SAT":
@@ -304,8 +286,8 @@ def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
     return new_dp, DescentStep(block, mu_before, mu_after, sub, report)
 
 
-def rota_solve(inst: RotaInstance, k: int = 3, solver: Solver = _default_solver,
-               block_rule: str = "lex") -> DescentTrace:
+def rota_solve(inst: RotaInstance, k: int = 3,
+               solver: Solver = _default_solver) -> DescentTrace:
     """Drive an instance to a full grid (rows = B_i, columns bases).
 
     For n <= 2 the grid is found by a direct search.  For n >= 3 the descent
@@ -332,7 +314,7 @@ def rota_solve(inst: RotaInstance, k: int = 3, solver: Solver = _default_solver,
     dp = initial_double_partition(inst)
     steps: list[DescentStep] = []
     while mu(dp) > 0:
-        outcome = descent_step(inst, dp, k, solver, block_rule)
+        outcome = descent_step(inst, dp, k, solver)
         if isinstance(outcome, CounterexampleCertificate):
             return DescentTrace(tuple(steps), None, outcome)
         dp, step = outcome

@@ -229,8 +229,10 @@ def parse_grid_instance(text: str, base_dir: Path | str = ".",
             raise FormatError(no, f"cannot read matroid file {path!r}: {exc}") from None
         matroid = parse_matroid(matroid_text)
     no, n = lines.take_int("ROWS", "row count")
+    if n < 0:
+        raise FormatError(no, "dimensions must be nonnegative")
     no, k = lines.take_int("COLS", "column count")
-    if n < 0 or k < 0:
+    if k < 0:
         raise FormatError(no, "dimensions must be nonnegative")
     if matroid.ground.size != n * k:
         raise FormatError(no, f"matroid has {matroid.ground.size} elements, "

@@ -3,8 +3,10 @@
 Three representations are supported: columns of exact rationals (linear),
 edge lists of a multigraph (graphic), and an explicit family of bases.
 Elements are always dense integer indices 0..m-1; display names are
-metadata only.  All arithmetic is exact -- linear ranks come from
-fraction-based Gaussian elimination, never floating point.
+metadata only.  Each representation decides independence in exactly one
+place, its incremental tester; every rank, rank table, loop and parallel
+class is computed through that tester.  All arithmetic is exact -- the
+linear tester eliminates over fractions, never floating point.
 """
 
 from __future__ import annotations
@@ -114,18 +116,17 @@ class BasesRep:
 
 Representation = LinearRep | GraphicRep | BasesRep
 
-# Full 2^m rank tables are built below this ground-set size; beyond it a
-# sparse bitmask-keyed memo is used (up to 64 elements), then nothing.
+# Solver testers read a full 2^m rank table up to this ground-set size;
+# beyond it they run the representation's own tester.
 TABLE_SIZE_CAP = 10
-MEMO_SIZE_CAP = 64
 
 
 class MatroidOracle:
     """Immutable exact rank oracle over one representation.
 
-    Rank queries are memoized by subset bitmask.  Oracles are safe to share
-    between concurrent solver runs: after construction the only mutation is
-    benign memo insertion.
+    A rank query reads the rank table once one is built, and otherwise grows
+    a greedy independent subset with a fresh tester.  After construction the
+    only mutations are the lazily built table, loops and parallel classes.
     """
 
     def __init__(self, rep: Representation, names: Sequence[str] | None = None,
@@ -138,7 +139,6 @@ class MatroidOracle:
         self.name = name
         self.parent_elements: tuple[int, ...] | None = None
         self._table: list[int] | None = None
-        self._memo: dict[int, int] | None = {} if m <= MEMO_SIZE_CAP else None
         self._loops: frozenset[int] | None = None
         self._parallel_classes: tuple[tuple[int, ...], ...] | None = None
         if isinstance(rep, BasesRep):
@@ -166,22 +166,17 @@ class MatroidOracle:
         mask = self._mask_of(elems)
         if self._table is not None:
             return self._table[mask]
-        if self._memo is not None:
-            r = self._memo.get(mask)
-            if r is None:
-                r = self._rank_mask(mask)
-                self._memo[mask] = r
-            return r
         return self._rank_mask(mask)
 
     def _rank_mask(self, mask: int) -> int:
-        elems = _bits(mask)
-        rep = self.rep
-        if isinstance(rep, LinearRep):
-            return _linear_rank([rep.columns[e] for e in elems])
-        if isinstance(rep, GraphicRep):
-            return _graphic_rank(rep.vertices, [rep.edges[e] for e in elems])
-        return max((_popcount(mask & bm) for bm in self._basis_masks), default=0)
+        # the greedily grown independent subset is a basis of the mask
+        tester = _rep_tester(self)
+        rank = 0
+        for e in _bits(mask):
+            if tester.can_add(e):
+                tester.push(e)
+                rank += 1
+        return rank
 
     def is_independent(self, elems: Iterable[int]) -> bool:
         s = set(elems)
@@ -202,26 +197,28 @@ class MatroidOracle:
 
     def loops(self) -> frozenset[int]:
         if self._loops is None:
+            tester = tester_for(self)
             self._loops = frozenset(
-                e for e in range(self.ground.size) if self.rank((e,)) == 0)
+                e for e in range(self.ground.size) if not tester.can_add(e))
         return self._loops
 
     def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Non-loop elements grouped by pairwise parallelism (rank{e,f} = 1)."""
+        """Non-loop elements grouped by pairwise parallelism (rank{e,f} = 1),
+        classes ordered by least element, members increasing."""
         if self._parallel_classes is None:
-            reps: list[int] = []
-            groups: list[list[int]] = []
-            for e in range(self.ground.size):
-                if e in self.loops():
+            m = self.ground.size
+            placed = set(self.loops())
+            groups: list[tuple[int, ...]] = []
+            for e in range(m):
+                if e in placed:
                     continue
-                for idx, rep in enumerate(reps):
-                    if self.rank((rep, e)) == 1:
-                        groups[idx].append(e)
-                        break
-                else:
-                    reps.append(e)
-                    groups.append([e])
-            self._parallel_classes = tuple(tuple(g) for g in groups)
+                tester = tester_for(self)
+                tester.push(e)
+                group = (e, *(f for f in range(e + 1, m)
+                              if f not in placed and not tester.can_add(f)))
+                placed.update(group)
+                groups.append(group)
+            self._parallel_classes = tuple(groups)
         return self._parallel_classes
 
     def restrict(self, subset: Iterable[int]) -> "MatroidOracle":
@@ -248,12 +245,32 @@ class MatroidOracle:
         return sub
 
     def build_rank_table(self) -> list[int]:
-        """Precompute rank for all 2^m subsets (m <= 12); idempotent."""
+        """Precompute rank for all 2^m subsets (m <= 12); idempotent.
+
+        One depth-first walk adds elements in increasing order.  The tester
+        always holds a basis of the current mask, so rank(mask + e) is
+        rank(mask) plus whether e can still be added.
+        """
         if self._table is None:
             m = self.ground.size
             if m > 12:
                 raise ValueError("rank table limited to 12 elements")
-            self._table = [self._rank_mask(mask) for mask in range(1 << m)]
+            table = [0] * (1 << m)
+            tester = _rep_tester(self)
+
+            def extend(mask: int, start: int) -> None:
+                for e in range(start, m):
+                    sub = mask | 1 << e
+                    grows = tester.can_add(e)
+                    table[sub] = table[mask] + grows
+                    if grows:
+                        tester.push(e)
+                    extend(sub, e + 1)
+                    if grows:
+                        tester.pop(e)
+
+            extend(0, 0)
+            self._table = table
         return self._table
 
 
@@ -277,40 +294,6 @@ def _mask(elems: Iterable[int]) -> int:
     for e in elems:
         mask |= 1 << e
     return mask
-
-
-def _linear_rank(cols: list[tuple[Fraction, ...]]) -> int:
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for col in cols:
-        v = list(col)
-        for p, w in pivots:
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, w)]
-        for p, a in enumerate(v):
-            if a:
-                inv = 1 / a
-                pivots.append((p, [x * inv for x in v]))
-                break
-    return len(pivots)
-
-
-def _graphic_rank(v: int, edges: list[tuple[int, int]]) -> int:
-    parent = list(range(v))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rank = 0
-    for u, w in edges:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-            rank += 1
-    return rank
 
 
 def _restrict_bases(rep: BasesRep, elems: list[int], sub_rank: int) -> BasesRep:
@@ -548,6 +531,12 @@ def tester_for(oracle: MatroidOracle):
         oracle.build_rank_table()
     if oracle._table is not None:
         return TableTester(oracle._table)
+    return _rep_tester(oracle)
+
+
+def _rep_tester(oracle: MatroidOracle):
+    """Fresh tester over the representation itself: the one place each
+    representation decides independence."""
     rep = oracle.rep
     if isinstance(rep, LinearRep):
         return LinearTester(rep.columns)

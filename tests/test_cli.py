@@ -1,6 +1,7 @@
 """CLI exit codes, report JSON, and the shipped schema."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,9 @@ from rotagrid import (RotaInstance, builtin_instance, parse_grid_instance,
                       rota_solve, validate_grid)
 from rotagrid.cli import run
 
+ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "src" / "rotagrid"
-     / "report_schema.json").read_text())
+    (ROOT / "src" / "rotagrid" / "report_schema.json").read_text())
 
 
 def load_report(path):
@@ -213,6 +214,19 @@ def test_module_invocation(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert (tmp_path / "k4-c2.matroid").exists()
+
+
+@pytest.mark.parametrize("script", [
+    ["run_counterexamples.py"],
+    ["run_c3_sweep.py", "--linear", "2", "--graphic", "2"],
+    ["run_descent_trials.py", "--ns", "3,4", "--trials", "3"],
+], ids=lambda argv: argv[0])
+def test_shipped_script_runs(script, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 @pytest.mark.parametrize("digest,valid", [

@@ -116,15 +116,14 @@ def test_select_block_size_exceeding_parts_errors():
         select_block(dp, 4)
 
 
-def test_select_block_max_rule():
+def test_select_block_lex_among_equal_sizes():
     beta = (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}),
             frozenset({6, 7}))
     tau = (frozenset({0, 2}), frozenset({1, 3}), frozenset({4, 6}),
            frozenset({5, 7}))
     dp = DoublePartition(beta, tau)
     # |beta_0 ∩ tau_1| = 1 is lexicographically first, every pair has size <= 1
-    assert select_block(dp, 3, rule="lex") == (0, 1, 2)
-    assert select_block(dp, 3, rule="max") == (0, 1, 2)
+    assert select_block(dp, 3) == (0, 1, 2)
 
 
 # --- build_subinstance ----------------------------------------------------------------

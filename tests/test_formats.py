@@ -144,6 +144,19 @@ def test_ground_nk_mismatch_rejected(tmp_path):
     assert "n*k" in str(info.value)
 
 
+@pytest.mark.parametrize("dims,line", [("ROWS -1\nCOLS 2\n", 3),
+                                       ("ROWS 2\nCOLS -1\n", 4)])
+def test_negative_dimension_reports_its_own_line(dims, line, tmp_path):
+    m = uniform_matroid(2, 4)
+    (tmp_path / "m.matroid").write_text(serialize_matroid(m))
+    text = ("GRIDINSTANCE v1\nMATROID m.matroid\n" + dims
+            + "INDEPENDENCE REQUIRED\nROW 0:\nROW 1:\n")
+    with pytest.raises(FormatError) as info:
+        parse_grid_instance(text, base_dir=tmp_path)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: dimensions must be nonnegative"
+
+
 def test_missing_matroid_file(tmp_path):
     text = ("GRIDINSTANCE v1\nMATROID nope.matroid\nROWS 1\nCOLS 1\n"
             "INDEPENDENCE REQUIRED\nROW 0:\n")

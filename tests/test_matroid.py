@@ -1,8 +1,9 @@
 """Oracle-level tests: ranks, axioms, restriction, testers.
 
 Reference values are computed by routes independent of the package:
-determinantal rank (nonzero minors) for vector matroids and DFS cycle
-detection for graphic ones.
+determinantal rank (nonzero minors, determinants by cofactor expansion) for
+vector matroids, cycle stripping for graphic ones, and endpoint pairs for
+graphic loops and parallel classes.
 """
 
 from fractions import Fraction
@@ -318,6 +319,7 @@ def test_tester_matches_oracle(rep, order):
 @settings(max_examples=100, deadline=None)
 def test_graphic_rank_matches_cycle_stripping(rep):
     oracle = MatroidOracle(rep)
+    table = MatroidOracle(rep).build_rank_table()
     m = oracle.ground.size
     for size in range(min(m, 5) + 1):
         for c in combinations(range(m), size):
@@ -328,6 +330,61 @@ def test_graphic_rank_matches_cycle_stripping(rep):
                 if not has_cycle(rep.vertices, independent + [edge]):
                     independent.append(edge)
             assert oracle.rank(c) == len(independent)
+            assert table[sum(1 << e for e in c)] == len(independent)
+
+
+def endpoint_classes(edges):
+    """Loops are self-loops; parallel classes share an unordered endpoint pair."""
+    loops = {e for e, (u, w) in enumerate(edges) if u == w}
+    by_pair: dict[frozenset[int], list[int]] = {}
+    for e, (u, w) in enumerate(edges):
+        if u != w:
+            by_pair.setdefault(frozenset((u, w)), []).append(e)
+    return loops, tuple(sorted(tuple(g) for g in by_pair.values()))
+
+
+@given(graphic_reps)
+@settings(max_examples=100, deadline=None)
+def test_loops_and_parallel_classes_by_endpoints(rep):
+    # the doubled edge list passes TABLE_SIZE_CAP once it has 6 or more edges
+    for edges in (rep.edges, rep.edges * 2):
+        oracle = MatroidOracle(GraphicRep(rep.vertices, edges))
+        loops, classes = endpoint_classes(edges)
+        assert oracle.loops() == loops
+        assert oracle.parallel_classes() == classes
+
+
+@st.composite
+def linear_columns(draw):
+    """Small integer columns, some zero, repeated or scaled from earlier ones."""
+    d = draw(st.integers(1, 4))
+    cols: list[tuple] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "scaled"]
+                                    if cols else ["fresh", "zero"]))
+        if kind == "fresh":
+            cols.append(tuple(draw(st.lists(st.integers(-3, 3),
+                                            min_size=d, max_size=d))))
+        elif kind == "zero":
+            cols.append((0,) * d)
+        else:
+            factor = 1 if kind == "repeat" else draw(
+                st.sampled_from([-1, 2, Fraction(-3, 2)]))
+            cols.append(tuple(factor * x for x in draw(st.sampled_from(cols))))
+    return cols
+
+
+@given(linear_columns())
+@settings(max_examples=150, deadline=None)
+def test_linear_rank_matches_nonzero_minors(cols):
+    rep = LinearRep.from_columns(cols)
+    greedy = MatroidOracle(rep)
+    table = MatroidOracle(rep).build_rank_table()
+    for mask in range(1 << len(cols)):
+        subset = [e for e in range(len(cols)) if mask >> e & 1]
+        expected = minor_rank([cols[e] for e in subset]) if subset else 0
+        assert greedy.rank(subset) == expected
+        assert table[mask] == expected
 
 
 @given(st.integers(0, 4), st.integers(1, 6))
@@ -341,3 +398,6 @@ def test_uniform_rank_formula(r, m):
     for size in range(m + 1):
         subset = set(range(size))
         assert oracle.rank(subset) == min(size, r)
+    table = uniform_matroid(r, m).build_rank_table()
+    for mask in range(1 << m):
+        assert table[mask] == min(bin(mask).count("1"), r)
