@@ -2,9 +2,10 @@
 
 Subcommands: solve, count, rota, descent-step, verify-c3, instance,
 check-matroid.  Exit codes: 0 = solvable / verified / OK, 1 = unsolvable or
-counterexample found, 2 = usage or input error.  Every command accepts
-``--json PATH`` to write a machine-readable run report conforming to the
-schema shipped as ``report_schema.json``.
+counterexample found, 2 = usage or input error, 3 = undecided within the
+node budget.  Every command accepts ``--json PATH`` to write a
+machine-readable run report conforming to the schema shipped as
+``report_schema.json``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .instances import (builtin_instance, builtin_names, c3_catalog,
                         verify_c3_for_matroid)
 from .matroid import MatroidOracle, find_exchange_violation, BasesRep
 
-OK, FOUND_COUNTEREXAMPLE, USAGE = 0, 1, 2
+OK, FOUND_COUNTEREXAMPLE, USAGE, UNDECIDED = 0, 1, 2, 3
 
 
 class CliError(Exception):
@@ -121,10 +122,14 @@ def _check_hypotheses(args, inst: GridInstance) -> None:
 def _cmd_solve(args, mode: str) -> int:
     inst = _load_instance(args)
     _check_hypotheses(args, inst)
-    report = solve(inst, mode=mode)
+    report = solve(inst, mode=mode, node_budget=args.node_budget)
     digest = instance_digest(inst)
     _write_report(args, "count" if mode == "count" else "solve", digest,
                   report.to_dict())
+    if report.status == "UNKNOWN":
+        print(f"UNKNOWN: node budget of {report.nodes} nodes spent "
+              f"({report.millis:.1f} ms)")
+        return UNDECIDED
     if mode == "count":
         print(f"{report.status}: {report.count} grids "
               f"({report.nodes} nodes, {report.millis:.1f} ms)")
@@ -279,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_common(p, grid_instance=False, matroid=False, k=False,
-                   seed=False, out=False, skip=False):
+                   seed=False, out=False, skip=False, budget=False):
         if grid_instance:
             p.add_argument("--grid-instance", metavar="PATH")
         if matroid:
@@ -292,14 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=".", metavar="DIR")
         if skip:
             p.add_argument("--skip-hypothesis-check", action="store_true")
+        if budget:
+            p.add_argument("--node-budget", type=int, metavar="N")
         p.add_argument("--json", metavar="PATH")
 
     p = sub.add_parser("solve", help="decide a grid instance")
-    add_common(p, grid_instance=True, skip=True)
+    add_common(p, grid_instance=True, skip=True, budget=True)
     p.add_argument("--mode", choices=["decide", "count"], default="decide")
 
     p = sub.add_parser("count", help="count all grids of an instance")
-    add_common(p, grid_instance=True, skip=True)
+    add_common(p, grid_instance=True, skip=True, budget=True)
 
     p = sub.add_parser("rota", help="full-row instance via potential descent")
     add_common(p, grid_instance=True, matroid=True, k=True, out=True)
@@ -348,10 +355,10 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except RecursionError:
-        # both searches recurse once per cell, so depth grows with the instance
+        # the hypothesis check's partition search recurses once per element
         print(f"error: an instance of {getattr(args, 'cells', '?')} cells is "
-              f"too deep for the recursive search (recursion limit "
-              f"{sys.getrecursionlimit()})", file=sys.stderr)
+              f"too deep for the recursive basis-partition search "
+              f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return USAGE
 
 

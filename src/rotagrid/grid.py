@@ -3,7 +3,8 @@
 An instance asks for an n x k grid using every element of a rank-n matroid
 on n*k elements exactly once, where row i must contain the prescribed set
 I_i and every column must be a basis.  The solver is a deterministic
-backtracking search over cells in column-major order; candidates for a cell
+backtracking search over cells in column-major order, one loop over an
+explicit stack; each cell keeps a bitmask of its untried candidates, which
 are tried in increasing element index.
 
 Pruning keeps counts exact: a partial column must stay independent (the
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .matroid import (BasesRep, MatroidOracle, find_exchange_violation,
+from .matroid import (BasesRep, MatroidOracle, _mask, find_exchange_violation,
                       tester_for)
 
 REQUIRED = "REQUIRED"
@@ -75,7 +76,7 @@ class InstanceCheck:
 
 @dataclass(frozen=True)
 class SolveReport:
-    status: str                       # "SAT" | "UNSAT"
+    status: str                       # "SAT" | "UNSAT" | "UNKNOWN"
     grid: Grid | None
     count: int | None                 # populated in count mode
     nodes: int
@@ -176,130 +177,135 @@ def validate_instance(inst: GridInstance, check_basis_partition: bool = True) ->
     return InstanceCheck(not failures, tuple(failures))
 
 
-def _parallel_row_classes(inst: GridInstance, row_of: Sequence[int]):
-    """Per-element list of same-row parallel companions, for symmetry breaking.
+def _parallel_successors(inst: GridInstance, row_of: Sequence[int]):
+    """Per-element bit of the next member of its same-row parallel class.
 
     Elements e, f are interchangeable when they are parallel in the matroid
     (rank{e}=rank{f}=rank{e,f}=1) and carry the same row constraint; swapping
     them maps valid grids to valid grids, so in decision mode each class may
-    be placed in increasing index order only.
+    be placed in increasing index order only.  A last member has entry 0.
     """
-    members = [None] * inst.matroid.ground.size
+    succ = [0] * inst.matroid.ground.size
     for cls in inst.matroid.parallel_classes():
-        if len(cls) < 2:
-            continue
-        by_row: dict[int, list[int]] = {}
-        for e in cls:
-            by_row.setdefault(row_of[e], []).append(e)
-        for group in by_row.values():
-            if len(group) > 1:
-                group.sort()
-                for e in group:
-                    members[e] = group
-    return members
+        if len(cls) > 1:
+            # a stable sort keeps each row's members in increasing order
+            group = sorted(cls, key=row_of.__getitem__)
+            for e, f in zip(group, group[1:]):
+                if row_of[e] == row_of[f]:
+                    succ[e] = 1 << f
+    return succ
 
 
 def _search(inst: GridInstance, mode: str, break_columns: bool,
-            break_parallel: bool):
-    """Core backtracking run.  Returns (count, first_grid, nodes)."""
+            break_parallel: bool, node_budget: int | None = None):
+    """Core backtracking run.  Returns (count, first_grid, nodes); count is
+    None when the search would place node `node_budget + 1`."""
     M = inst.matroid
     n, k = inst.n, inst.k
     m = M.ground.size
     if m != n * k:
         raise ValueError(f"ground-set size {m} != n*k = {n * k}")
     total = n * k
+    if not total:
+        return 1, tuple(() for _ in range(n)), 0
 
     # exact shortcuts: a loop can never sit in a basis column, and columns of
     # size n are bases only when the whole matroid has rank n
-    if total and (M.rank_total != n or M.loops()):
+    if M.rank_total != n or M.loops():
         return 0, None, 0
 
     row_of = [-1] * m
     for i, row in enumerate(inst.rows):
         for e in row:
             row_of[e] = i
-    free = [e for e in range(m) if row_of[e] < 0]
-    allowed = [sorted(inst.rows[i] | set(free)) for i in range(n)]
-    need = [len(inst.rows[i]) for i in range(n)]
-    cells_left = [k] * n
-    class_members = (_parallel_row_classes(inst, row_of)
-                     if break_parallel and mode == "decide" else [None] * m)
-    break_cols = break_columns and mode == "decide"
+    own = [0] * (n + 1)    # own[i]: the elements bound to row i; own[-1]: free
+    for e, i in enumerate(row_of):
+        own[i] |= 1 << e
+    free_mask = own.pop()
+    wide = [_mask(row) | free_mask for row in inst.rows]  # all row i may take
+    unused = (1 << m) - 1
+    slack = [k - len(row) for row in inst.rows]
+    decide = mode == "decide"
+    succ = (_parallel_successors(inst, row_of)
+            if break_parallel and decide else [0] * m)
+    # a member waits for its predecessor; successor bits are disjoint
+    ready = unused & ~sum(succ)
 
-    used = bytearray(m)
-    cells = [-1] * total
+    row_at = list(range(n)) * k
     testers = [tester_for(M) for _ in range(k)]
-    counting = mode == "count"
-    count = 0
-    nodes = 0
+    can_add_at = [testers[t // n].can_add for t in range(total)]
+    push_at = [testers[t // n].push for t in range(total)]
+    pop_at = [testers[t // n].pop for t in range(total)]
+    above_at = [break_columns and decide and t >= n and t % n == 0
+                for t in range(total)]
+    cells = [-1] * total
+    rest = [0] * total       # rest[t]: untried candidates of cell t
+    limit = -1 if node_budget is None else node_budget
+    count = nodes = t = 0
     first: Grid | None = None
-
-    def step(t: int) -> bool:
-        nonlocal count, nodes, first
-        if t == total:
+    cand = (wide[0] if slack[0] else own[0]) & ready
+    while True:
+        if cand:
+            low = cand & -cand
+            cand ^= low
+            e = low.bit_length() - 1
+            if not can_add_at[t](e):
+                continue
+            if nodes == limit:
+                return None, None, nodes
+            nodes += 1
+            push_at[t](e)
+            cells[t] = e
+            rest[t] = cand
+            unused ^= low
+            ready |= succ[e]
+            if not low & own[row_at[t]]:
+                slack[row_at[t]] -= 1
+            t += 1
+            if t < total:
+                i = row_at[t]
+                cand = (wide[i] if slack[i] else own[i]) & unused & ready
+                if above_at[t]:
+                    cand &= -(2 << cells[t - n])
+                continue
             count += 1
             if first is None:
-                first = tuple(tuple(cells[c * n + i] for c in range(k))
-                              for i in range(n))
-            return not counting
-        c, i = divmod(t, n)
-        tester = testers[c]
-        req_only = need[i] == cells_left[i]
-        lo = cells[(c - 1) * n] if (break_cols and i == 0 and c > 0) else -1
-        for e in allowed[i]:
-            if used[e] or e <= lo:
-                continue
-            in_row = row_of[e] == i
-            if req_only and not in_row:
-                continue
-            group = class_members[e]
-            if group is not None:
-                blocked = False
-                for f in group:
-                    if f == e:
-                        break
-                    if not used[f]:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-            if not tester.can_add(e):
-                continue
-            used[e] = 1
-            cells[t] = e
-            tester.push(e)
-            cells_left[i] -= 1
-            if in_row:
-                need[i] -= 1
-            nodes += 1
-            stop = step(t + 1)
-            if in_row:
-                need[i] += 1
-            cells_left[i] += 1
-            tester.pop(e)
-            cells[t] = -1
-            used[e] = 0
-            if stop:
-                return True
-        return False
-
-    step(0)
+                first = tuple(tuple(cells[i::n]) for i in range(n))
+            if decide:
+                break
+        elif not t:
+            break
+        t -= 1
+        e = cells[t]
+        low = 1 << e
+        pop_at[t](e)
+        unused |= low
+        ready &= ~succ[e]
+        if not low & own[row_at[t]]:
+            slack[row_at[t]] += 1
+        cand = rest[t]
     return count, first, nodes
 
 
 def solve(inst: GridInstance, mode: str = "decide", *,
-          break_columns: bool = True, break_parallel: bool = True) -> SolveReport:
+          break_columns: bool = True, break_parallel: bool = True,
+          node_budget: int | None = None) -> SolveReport:
     """Solve (decision) or count grids for `inst`.
 
     Deterministic for a fixed instance: reports are identical across runs up
-    to `millis`.
+    to `millis`.  With a `node_budget`, a search that would place more nodes
+    stops and reports "UNKNOWN" with no grid and no count, never a partial
+    count.
     """
     if mode not in ("decide", "count"):
         raise ValueError(f"bad mode {mode!r}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     t0 = time.perf_counter()
-    count, grid, nodes = _search(inst, mode, break_columns, break_parallel)
+    count, grid, nodes = _search(inst, mode, break_columns, break_parallel,
+                                 node_budget)
     millis = (time.perf_counter() - t0) * 1000.0
-    status = "SAT" if count > 0 else "UNSAT"
+    status = "UNKNOWN" if count is None else "SAT" if count else "UNSAT"
     return SolveReport(status=status, grid=grid if status == "SAT" else None,
                        count=count if mode == "count" else None,
                        nodes=nodes, millis=millis)

@@ -475,25 +475,29 @@ class GraphicTester:
         self.compsize = [1] * vertices
         self.trail: list[tuple[int, int, int]] = []  # (child_root, parent_root, element)
 
-    def _find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:  # no path compression: keeps pops O(1)
-            x = parent[x]
-        return x
-
     def can_add(self, e: int) -> bool:
-        u, w = self.edges[e]
-        return self._find(u) != self._find(w)
+        ru, rw = self.edges[e]
+        parent = self.parent
+        while parent[ru] != ru:  # no path compression: keeps pops O(1)
+            ru = parent[ru]
+        while parent[rw] != rw:
+            rw = parent[rw]
+        return ru != rw
 
     def push(self, e: int) -> None:
-        u, w = self.edges[e]
-        ru, rw = self._find(u), self._find(w)
+        ru, rw = self.edges[e]
+        parent = self.parent
+        while parent[ru] != ru:
+            ru = parent[ru]
+        while parent[rw] != rw:
+            rw = parent[rw]
         if ru == rw:
             raise ValueError(f"edge {e} closes a cycle")
-        if self.compsize[ru] > self.compsize[rw]:
+        compsize = self.compsize
+        if compsize[ru] > compsize[rw]:
             ru, rw = rw, ru
-        self.parent[ru] = rw
-        self.compsize[rw] += self.compsize[ru]
+        parent[ru] = rw
+        compsize[rw] += compsize[ru]
         self.trail.append((ru, rw, e))
 
     def pop(self, e: int) -> None:

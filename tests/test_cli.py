@@ -259,6 +259,22 @@ def test_parallel_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+def test_node_budget_exits_undecided(tmp_path, capsys):
+    # unbudgeted, this count ran for minutes with no output
+    grid = materialize("odd-wheel-5", tmp_path)
+    code = run(["count", "--grid-instance", str(grid), "--node-budget",
+                "10000", "--skip-hypothesis-check",
+                "--json", str(tmp_path / "r.json")])
+    assert code == 3
+    assert "UNKNOWN: node budget of 10000 nodes" in capsys.readouterr().out
+    result = load_report(tmp_path / "r.json")["result"]
+    assert (result["status"], result["count"], result["grid"],
+            result["nodes"]) == ("UNKNOWN", None, None, 10000)
+    assert result["millis"] < 1000
+    assert run(["solve", "--grid-instance", str(grid), "--node-budget", "-1",
+                "--skip-hypothesis-check"]) == 2
+
+
 def test_too_deep_instance_is_input_error(tmp_path, capsys):
     grid = materialize("odd-wheel-33", tmp_path)
     assert run(["solve", "--grid-instance", str(grid)]) == 2
@@ -304,6 +320,9 @@ CHECK_RESULT = {"name": "m", "elements": 4, "rank": 2, "ok": True,
     ("check-matroid", dict(CHECK_RESULT, ok="yes")),
     ("check-matroid", dict(CHECK_RESULT, violation={"removed": 1})),
     ("check-matroid", {"name": "m", "elements": 4, "rank": 2}),
+    ("count", dict(SOLVE_RESULT, status="UNKNOWN", count=5)),
+    ("solve", dict(SOLVE_RESULT, status="UNKNOWN", count=None,
+                   grid=[[0, 1]])),
 ])
 def test_schema_rejects_malformed_result(kind, result):
     with pytest.raises(jsonschema.ValidationError):
@@ -319,6 +338,7 @@ def test_schema_rejects_malformed_result(kind, result):
     ("verify-c3", {"reports": [], "total_unsat": 0}),
     ("check-matroid", dict(CHECK_RESULT, ok=False, violation={
         "basis": [0, 1], "removed": 0, "against": [2, 3]})),
+    ("count", dict(SOLVE_RESULT, status="UNKNOWN", count=None)),
 ])
 def test_schema_accepts_wellformed_result(kind, result):
     jsonschema.validate(_report(kind, result), SCHEMA)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       GridInstance, MatroidOracle, brute_force_count,
-                      count_solutions,
+                      builtin_instance, count_solutions,
                       find_basis_partition, k4_c2_instance,
                       mcdiarmid_instance, solve, uniform_matroid,
                       validate_grid, validate_instance)
@@ -263,3 +263,58 @@ def test_nodes_counted():
     report = solve(u39_inst())
     assert report.nodes >= 9
     assert report.millis >= 0.0
+
+
+# The exact node counts pin the search tree: the cells, the candidates and
+# their order, and every prune.  A kernel change that keeps the search order
+# must keep every one of them.
+@pytest.mark.parametrize("name,mode,symmetry,nodes", [
+    ("k4-c2", "decide", True, 14),
+    ("oxley-j", "decide", True, 27),
+    ("mcdiarmid", "decide", True, 29),
+    ("odd-wheel-5", "decide", True, 596),
+    ("odd-wheel-7", "decide", True, 14_181),
+    ("odd-wheel-9", "decide", True, 413_814),
+    ("k4-c2", "count", True, 18),
+    ("oxley-j", "count", True, 43),
+    ("mcdiarmid", "count", True, 278),
+    ("k4-c2", "decide", False, 18),
+    ("oxley-j", "decide", False, 43),
+    ("mcdiarmid", "decide", False, 278),
+])
+def test_node_counts_pin_the_search_tree(name, mode, symmetry, nodes):
+    report = solve(builtin_instance(name).instance, mode,
+                   break_columns=symmetry, break_parallel=symmetry)
+    assert report.status == "UNSAT"
+    assert report.nodes == nodes
+
+
+def test_instance_deeper_than_the_recursion_limit():
+    cells = 1500
+    parallel = MatroidOracle(GraphicRep(2, ((0, 1),) * cells))
+    inst = GridInstance(parallel, 1, cells, (frozenset(),), NOT_REQUIRED)
+    report = solve(inst)
+    assert report.status == "SAT"
+    assert report.nodes == cells
+    assert validate_grid(inst, report.grid)
+
+
+@pytest.mark.parametrize("budget,status,nodes", [
+    (596, "UNSAT", 596),
+    (595, "UNKNOWN", 595),
+    (0, "UNKNOWN", 0),
+])
+def test_node_budget(budget, status, nodes):
+    report = solve(builtin_instance("odd-wheel-5").instance,
+                   node_budget=budget)
+    assert (report.status, report.nodes) == (status, nodes)
+    assert report.grid is None and report.count is None
+
+
+def test_node_budget_never_reports_a_partial_count():
+    inst = u39_inst()
+    report = solve(inst, mode="count", node_budget=100)
+    assert (report.status, report.count, report.grid) == ("UNKNOWN", None, None)
+    assert report.nodes == 100
+    with pytest.raises(ValueError):
+        solve(inst, node_budget=-1)
