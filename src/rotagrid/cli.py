@@ -54,9 +54,7 @@ def _load_instance(args) -> GridInstance:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    inst = parse_grid_instance(text, base_dir=path.parent)
-    args.cells = inst.n * inst.k
-    return inst
+    return parse_grid_instance(text, base_dir=path.parent)
 
 
 def _load_matroid_or_builtin(source: str) -> MatroidOracle:
@@ -92,7 +90,6 @@ def _rota_instance_from_args(args) -> RotaInstance:
     if oracle.ground.size != n * n:
         raise CliError(f"rota needs rank^2 elements; matroid has rank {n} "
                        f"on {oracle.ground.size} elements")
-    args.cells = oracle.ground.size
     parts = find_basis_partition(oracle, n)
     if parts is None:
         raise CliError("matroid does not split into rank-many disjoint bases")
@@ -353,12 +350,6 @@ def run(argv: list[str]) -> int:
         raise CliError(f"unknown command {args.cmd!r}")
     except (CliError, OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except RecursionError:
-        # the hypothesis check's partition search recurses once per element
-        print(f"error: an instance of {getattr(args, 'cells', '?')} cells is "
-              f"too deep for the recursive basis-partition search "
-              f"(recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return USAGE
 
 

@@ -2,10 +2,10 @@
 
 An instance asks for an n x k grid using every element of a rank-n matroid
 on n*k elements exactly once, where row i must contain the prescribed set
-I_i and every column must be a basis.  The solver is a deterministic
-backtracking search over cells in column-major order, one loop over an
-explicit stack; each cell keeps a bitmask of its untried candidates, which
-are tried in increasing element index.
+I_i and every column must be a basis.  Both searches here, the solver over
+cells in column-major order and the basis-partition check, are one loop
+over an explicit stack, so neither has a depth limit.  Each solver cell
+keeps a bitmask of its untried candidates, tried in increasing index.
 
 Pruning keeps counts exact: a partial column must stay independent (the
 incremental tester subsumes closure-based candidate filtering), and a row
@@ -96,8 +96,13 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
                          node_cap: int | None = None):
     """Partition the ground set into `parts` disjoint bases, or None.
 
-    Complete backtracking search (exact when node_cap is None); a node cap
-    turns it into a deterministic give-up useful inside instance generators.
+    Exact backtracking, one loop over an explicit stack: each element in
+    turn joins the first part that keeps it independent, opening at most one
+    empty part (empty parts are interchangeable), so the first partition
+    found is the least such assignment.  Swapping parallel elements maps
+    partitions to partitions, so once the search backtracks, an element tries
+    only parts after its parallel-class predecessor's.  With a node cap it
+    gives up (None) when it would place node `node_cap + 1`.
     """
     m = oracle.ground.size
     r = oracle.rank_total
@@ -107,37 +112,38 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
         return ()
     testers = [tester_for(oracle) for _ in range(parts)]
     sizes = [0] * parts
-    assign = [-1] * m
-    nodes = 0
-
-    def place(e: int) -> bool:
-        nonlocal nodes
-        if e == m:
-            return True
-        if node_cap is not None and nodes > node_cap:
-            return False
-        tried_empty = False
-        for p in range(parts):
-            if sizes[p] == r:
-                continue
-            if sizes[p] == 0:
-                if tried_empty:       # empty parts are interchangeable
-                    break
-                tried_empty = True
-            if testers[p].can_add(e):
-                testers[p].push(e)
-                sizes[p] += 1
-                assign[e] = p
-                nodes += 1
-                if place(e + 1):
-                    return True
-                assign[e] = -1
-                sizes[p] -= 1
-                testers[p].pop(e)
-        return False
-
-    if not place(0):
-        return None
+    assign = [-1] * (m + 1)   # assign[m] = -1 stands for "no predecessor"
+    prev = None               # parallel-class predecessors, m for none
+    limit = -1 if node_cap is None else node_cap
+    nodes = opened = e = p = 0
+    while e < m:
+        top = min(opened, parts - 1)
+        while p <= top and (sizes[p] == r or not testers[p].can_add(e)):
+            p += 1
+        if p <= top:
+            if nodes == limit:
+                return None
+            nodes += 1
+            testers[p].push(e)
+            sizes[p] += 1
+            opened += p == opened
+            assign[e] = p
+            e += 1
+            p = 0 if prev is None else assign[prev[e]] + 1
+            continue
+        if not e:
+            return None
+        if prev is None:
+            prev = [m] * (m + 1)
+            for cls in oracle.parallel_classes():
+                for f, g in zip(cls, cls[1:]):
+                    prev[g] = f
+        e -= 1
+        p = assign[e]
+        testers[p].pop(e)
+        sizes[p] -= 1
+        opened -= not sizes[p]
+        p += 1
     return tuple(frozenset(e for e in range(m) if assign[e] == p) for p in range(parts))
 
 

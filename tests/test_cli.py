@@ -275,10 +275,21 @@ def test_node_budget_exits_undecided(tmp_path, capsys):
                 "--skip-hypothesis-check"]) == 2
 
 
-def test_too_deep_instance_is_input_error(tmp_path, capsys):
+def test_deep_instance_under_budget_is_undecided(tmp_path):
+    # 1,089 cells; neither search has a depth limit
     grid = materialize("odd-wheel-33", tmp_path)
-    assert run(["solve", "--grid-instance", str(grid)]) == 2
-    assert "1089 cells is too deep" in capsys.readouterr().err
+    assert run(["solve", "--grid-instance", str(grid),
+                "--skip-hypothesis-check", "--node-budget", "10000",
+                "--json", str(tmp_path / "r.json")]) == 3
+    result = load_report(tmp_path / "r.json")["result"]
+    assert (result["status"], result["grid"], result["nodes"]) \
+        == ("UNKNOWN", None, 10000)
+
+
+def test_odd_wheel_7_hypothesis_check_finishes(tmp_path):
+    # the hypothesis check has no budget, so it must finish on its own
+    grid = materialize("odd-wheel-7", tmp_path)
+    assert run(["solve", "--grid-instance", str(grid)]) == 1
 
 
 def test_rota_steps_match_trace_serializer(tmp_path):

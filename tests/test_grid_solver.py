@@ -1,6 +1,8 @@
 """Solver tests: named counterexamples, solver-vs-brute-force equivalence,
 determinism, and the exactness of every pruning rule."""
 
+import random
+import time
 from itertools import permutations
 
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import strategies as st
 
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       GridInstance, MatroidOracle, brute_force_count,
-                      builtin_instance, count_solutions,
-                      find_basis_partition, k4_c2_instance,
-                      mcdiarmid_instance, solve, uniform_matroid,
+                      builtin_instance, c3_catalog, count_solutions,
+                      find_basis_partition, is_disjoint_union_of_bases,
+                      k4_c2_instance, mcdiarmid_instance,
+                      random_linear_matroid, solve, uniform_matroid,
                       validate_grid, validate_instance)
+from rotagrid.matroid import tester_for as make_tester
 
 
 def u39_inst(rows=((), (), ())):
@@ -186,6 +190,121 @@ def test_partition_impossible():
 
 def test_partition_wrong_divisibility(k4):
     assert find_basis_partition(k4, 4) is None
+
+
+def reference_partition(oracle, parts):
+    """Recursive partition search with no parallel-class rule: a test-only
+    reference for the first partition `find_basis_partition` must return."""
+    m, r = oracle.ground.size, oracle.rank_total
+    if parts < 0 or r * parts != m:
+        return None
+    if parts == 0:
+        return ()
+    testers = [make_tester(oracle) for _ in range(parts)]
+    sizes = [0] * parts
+    assign = [-1] * m
+
+    def place(e):
+        if e == m:
+            return True
+        tried_empty = False
+        for p in range(parts):
+            if sizes[p] == r:
+                continue
+            if sizes[p] == 0:
+                if tried_empty:
+                    break
+                tried_empty = True
+            if testers[p].can_add(e):
+                testers[p].push(e)
+                sizes[p] += 1
+                assign[e] = p
+                if place(e + 1):
+                    return True
+                sizes[p] -= 1
+                testers[p].pop(e)
+        return False
+
+    if not place(0):
+        return None
+    return tuple(frozenset(e for e in range(m) if assign[e] == p)
+                 for p in range(parts))
+
+
+def random_multigraphs(count, seed):
+    """Seeded loopless multigraphs with (vertices-1)*parts <= 12 edges; some
+    split into `parts` spanning trees, some do not.  (Without a split, 16
+    edges can take the reference search half a second.)"""
+    rng = random.Random(seed)
+    for _ in range(count):
+        vertices = rng.randint(2, 5)
+        parts = rng.randint(1, min(4, 12 // (vertices - 1)))
+        edges = []
+        for _ in range((vertices - 1) * parts):
+            u, w = rng.sample(range(vertices), 2)
+            edges.append((min(u, w), max(u, w)))
+        yield MatroidOracle(GraphicRep(vertices, tuple(edges))), parts
+
+
+def partition_cases(source):
+    if source == "catalog":
+        return [(m, 3) for m in c3_catalog(0)]
+    if source == "linear":
+        return [(random_linear_matroid(n, n * n, s), n)
+                for n in (3, 4, 5) for s in range(10)]
+    if source == "named":
+        insts = [builtin_instance(name).instance for name in
+                 ("k4-c2", "oxley-j", "mcdiarmid", "u39", "odd-wheel-3")]
+        return [(inst.matroid, inst.k) for inst in insts]
+    return list(random_multigraphs(500, seed=7))
+
+
+@pytest.mark.parametrize("source", ["catalog", "linear", "named", "multigraphs"])
+def test_partition_matches_recursive_reference(source):
+    cases = partition_cases(source)
+    found = 0
+    for oracle, parts in cases:
+        want = reference_partition(oracle, parts)
+        assert find_basis_partition(oracle, parts) == want
+        found += want is not None
+    assert found  # every source has inputs that split
+    if source == "multigraphs":
+        assert found < len(cases)  # and some that do not
+
+
+@pytest.mark.parametrize("name,nodes", [
+    ("mcdiarmid", 24), ("odd-wheel-5", 80), ("odd-wheel-7", 400)])
+def test_partition_node_cap(name, nodes):
+    # the search places exactly `nodes` nodes; any smaller cap gives up
+    inst = builtin_instance(name).instance
+    found = find_basis_partition(inst.matroid, inst.k)
+    assert found is not None
+    for cap in (0, nodes - 1):
+        assert find_basis_partition(inst.matroid, inst.k, node_cap=cap) is None
+    for cap in (nodes, 10**6):
+        assert find_basis_partition(inst.matroid, inst.k, node_cap=cap) == found
+
+
+def test_partition_of_empty_ground_set_places_no_node():
+    empty = MatroidOracle(GraphicRep(1, ()))
+    assert find_basis_partition(empty, 2, node_cap=0) == (frozenset(),) * 2
+
+
+def test_odd_wheels_pass_the_hypothesis_check():
+    # the check is exact and has no budget, so each wheel must split quickly
+    start = time.perf_counter()
+    for k in (5, 7, 9):
+        inst = builtin_instance(f"odd-wheel-{k}").instance
+        assert validate_instance(inst)
+        parts = find_basis_partition(inst.matroid, inst.k)
+        assert is_disjoint_union_of_bases(inst.matroid, parts)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_partition_search_has_no_depth_limit():
+    # 1,089 elements, more than Python's default recursion limit
+    wheel = builtin_instance("odd-wheel-33").instance.matroid
+    assert find_basis_partition(wheel, 33, node_cap=10_000) is None
 
 
 # --- determinism & symmetry soundness --------------------------------------------------
