@@ -6,7 +6,7 @@ Elements are always dense integer indices 0..m-1; display names are
 metadata only.  Each representation decides independence in exactly one
 place, its incremental tester; every rank, rank table, loop and parallel
 class is computed through that tester.  All arithmetic is exact -- the
-linear tester eliminates over fractions, never floating point.
+linear tester eliminates over integers (Bareiss), never floating point.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -22,6 +23,12 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"refusing inexact entry {x!r}; use int, Fraction, or 'a/b' string")
     return Fraction(x)
+
+
+def _integer_column(col: Sequence) -> tuple[int, ...]:
+    # the column times the lcm of its denominators: same span, integer entries
+    scale = lcm(*[x.denominator for x in col])
+    return tuple([x.numerator * (scale // x.denominator) for x in col])
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ class MatroidOracle:
     """
 
     def __init__(self, rep: Representation, names: Sequence[str] | None = None,
-                 name: str = "", ground_size: int | None = None):
+                 name: str = "", ground_size: int | None = None, _columns=None):
         self.rep = rep
         m = rep.size if ground_size is None else ground_size
         if isinstance(rep, BasesRep) and rep.size > m:
@@ -143,6 +150,8 @@ class MatroidOracle:
         self._parallel_classes: tuple[tuple[int, ...], ...] | None = None
         if isinstance(rep, BasesRep):
             self._basis_masks = tuple(sorted(_mask(b) for b in rep.bases))
+        elif isinstance(rep, LinearRep):
+            self._columns = _columns or tuple(_integer_column(c) for c in rep.columns)
         self.rank_total = self.rank(range(m))
 
     @property
@@ -234,13 +243,16 @@ class MatroidOracle:
         if self.ground.names is not None:
             names = tuple(self.ground.names[e] for e in elems)
         rep = self.rep
+        columns = None
         if isinstance(rep, LinearRep):
             sub_rep: Representation = LinearRep(rep.dim, tuple(rep.columns[e] for e in elems))
+            columns = tuple(self._columns[e] for e in elems)
         elif isinstance(rep, GraphicRep):
             sub_rep = GraphicRep(rep.vertices, tuple(rep.edges[e] for e in elems))
         else:
             sub_rep = _restrict_bases(rep, elems, self.rank(elems))
-        sub = MatroidOracle(sub_rep, names=names, name=self.name, ground_size=len(elems))
+        sub = MatroidOracle(sub_rep, names=names, name=self.name,
+                            ground_size=len(elems), _columns=columns)
         sub.parent_elements = tuple(elems)
         return sub
 
@@ -274,19 +286,8 @@ class MatroidOracle:
         return self._table
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _bits(mask: int) -> list[int]:
-    out = []
-    e = 0
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return out
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
 
 
 def _mask(elems: Iterable[int]) -> int:
@@ -388,7 +389,7 @@ def rank_axiom_violations(oracle: MatroidOracle, limit: int = 5) -> list[str]:
             if a_mask == b_mask:
                 break
             ra = table[a_mask]
-            if not ra <= rb <= ra + _popcount(b_mask & ~a_mask):
+            if not ra <= rb <= ra + (b_mask & ~a_mask).bit_count():
                 out.append(f"nested pair A={_bits(a_mask)} B={_bits(b_mask)}: "
                            f"rank {ra} vs {rb}")
                 if len(out) >= limit:
@@ -434,35 +435,49 @@ class TableTester:
 
 
 class LinearTester:
-    __slots__ = ("columns", "stack")
+    # Fraction-free (Bareiss) elimination over integer columns.  A stack entry
+    # is (pivot column p, row w, element, pivot value d); v reduces against it
+    # to (d * v - v[p] * w) // d', d' the pivot value of the entry before (1
+    # for the first), and Sylvester's identity makes that division exact.
+    __slots__ = ("columns", "stack", "kept")
 
-    def __init__(self, columns: Sequence[tuple[Fraction, ...]]):
-        self.columns = columns
-        self.stack: list[tuple[int, list[Fraction], int]] = []  # (pivot, vec, element)
+    def __init__(self, columns: Sequence[Sequence]):
+        self.columns = tuple(_integer_column(c) for c in columns)
+        self.stack: list[tuple[int, Sequence[int], int, int]] = []
+        self.kept: tuple[int, Sequence[int]] = (-1, ())  # last can_add: (e, v)
 
-    def _reduce(self, e: int) -> list[Fraction]:
-        v = list(self.columns[e])
-        for p, w, _ in self.stack:
-            c = v[p]
-            if c:
-                v = [a - c * b for a, b in zip(v, w)]
-        return v
+    @classmethod
+    def over_integers(cls, columns: Sequence[tuple[int, ...]]) -> "LinearTester":
+        """A tester over columns already scaled to integers, as an oracle's are."""
+        tester = cls(())
+        tester.columns = columns
+        return tester
 
     def can_add(self, e: int) -> bool:
-        return any(self._reduce(e))
+        v = self.columns[e]
+        prev = 1
+        for p, w, _, d in self.stack:
+            c = v[p]
+            v = ([(d * a - c * b) // prev for a, b in zip(v, w)] if c
+                 else [d * a // prev for a in v])
+            prev = d
+        self.kept = (e, v)
+        return any(v)
 
     def push(self, e: int) -> None:
-        v = self._reduce(e)
+        if self.kept[0] != e:  # else reuse the reduction can_add just made
+            self.can_add(e)
+        v = self.kept[1]
+        self.kept = (-1, ())
         for p, a in enumerate(v):
             if a:
-                inv = 1 / a
-                self.stack.append((p, [x * inv for x in v], e))
+                self.stack.append((p, v, e, a))
                 return
         raise ValueError(f"element {e} is dependent on the current set")
 
     def pop(self, e: int) -> None:
-        p, w, elem = self.stack.pop()
-        if elem != e:
+        self.kept = (-1, ())
+        if self.stack.pop()[2] != e:
             raise ValueError("pop order must mirror push order")
 
 
@@ -543,7 +558,7 @@ def _rep_tester(oracle: MatroidOracle):
     representation decides independence."""
     rep = oracle.rep
     if isinstance(rep, LinearRep):
-        return LinearTester(rep.columns)
+        return LinearTester.over_integers(oracle._columns)
     if isinstance(rep, GraphicRep):
         return GraphicTester(rep.vertices, rep.edges)
     return BasesTester(oracle._basis_masks)

@@ -17,6 +17,7 @@ from rotagrid import (BasesRep, GraphicRep, GroundSet, LinearRep,
                       MatroidOracle, enumerate_bases, find_exchange_violation,
                       is_disjoint_union_of_bases, rank_axiom_violations,
                       uniform_matroid, verify_basis_axioms)
+from rotagrid.matroid import TABLE_SIZE_CAP, LinearTester, _rep_tester
 from rotagrid.matroid import tester_for as make_tester
 
 J_VECTORS = [(-2, 3, 0, 1), (0, 0, 1, 1), (0, 2, 0, 1), (1, 0, 3, 1),
@@ -354,19 +355,28 @@ def test_loops_and_parallel_classes_by_endpoints(rep):
         assert oracle.parallel_classes() == classes
 
 
+# non-integer rationals: Bareiss runs on integers, so these must be scaled
+rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([2, 3, 5]))
+
+
 @st.composite
-def linear_columns(draw):
-    """Small integer columns, some zero, repeated or scaled from earlier ones."""
-    d = draw(st.integers(1, 4))
+def linear_columns(draw, max_dim=4, max_size=6, entries=st.integers(-3, 3)):
+    """Small exact columns: fresh (integer or rational entries), zero, repeated,
+    scaled from an earlier one, or the sum of two earlier ones."""
+    d = draw(st.integers(1, max_dim))
+    fresh = st.one_of(entries, rationals)
     cols: list[tuple] = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "scaled"]
-                                    if cols else ["fresh", "zero"]))
+    for _ in range(draw(st.integers(1, max_size))):
+        kind = draw(st.sampled_from(
+            ["fresh", "fresh", "zero", "repeat", "scaled", "sum"]
+            if cols else ["fresh", "zero"]))
         if kind == "fresh":
-            cols.append(tuple(draw(st.lists(st.integers(-3, 3),
-                                            min_size=d, max_size=d))))
+            cols.append(tuple(draw(st.lists(fresh, min_size=d, max_size=d))))
         elif kind == "zero":
             cols.append((0,) * d)
+        elif kind == "sum":
+            u, w = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            cols.append(tuple(a + b for a, b in zip(u, w)))
         else:
             factor = 1 if kind == "repeat" else draw(
                 st.sampled_from([-1, 2, Fraction(-3, 2)]))
@@ -385,6 +395,141 @@ def test_linear_rank_matches_nonzero_minors(cols):
         expected = minor_rank([cols[e] for e in subset]) if subset else 0
         assert greedy.rank(subset) == expected
         assert table[mask] == expected
+
+
+# A script step is (op, e, f).  "check" asks can_add(e); "push" pushes e with
+# no can_add before it; "checked" is the solver's can_add(e) then push(e);
+# "interleaved" asks can_add(e) and can_add(f) before pushing e; "pop" pops
+# the last element; "stale" asks can_add(e), pops, then pushes e.
+SCRIPT_OPS = ("check", "push", "checked", "interleaved", "pop", "stale")
+
+
+@given(linear_columns(max_dim=6, max_size=14, entries=rationals),
+       st.lists(st.tuples(st.sampled_from(SCRIPT_OPS), st.integers(0, 13),
+                          st.integers(0, 13)), max_size=40))
+@settings(max_examples=120, deadline=None)
+def test_linear_tester_scripts_match_minor_rank(cols, script):
+    rep = LinearRep.from_columns(cols)
+    m = len(cols)
+    greedy = MatroidOracle(rep)            # never builds a table
+    solver_side = MatroidOracle(rep)
+    linear = [LinearTester(rep.columns),    # the layer probe's direct call
+              _rep_tester(solver_side)]     # over the oracle's scaled columns
+    # table-backed up to TABLE_SIZE_CAP, a LinearTester past it
+    testers = linear + [make_tester(solver_side)]
+    assert isinstance(testers[-1], LinearTester) == (m > TABLE_SIZE_CAP)
+    current: list[int] = []
+    verdicts: dict[frozenset, bool] = {}
+
+    def independent(e):
+        if e in current:
+            return False
+        key = frozenset(current + [e])
+        if key not in verdicts:
+            vecs = [cols[x] for x in key]
+            verdicts[key] = minor_rank(vecs) == len(vecs)
+        return verdicts[key]
+
+    def ask(e):
+        expected = independent(e)
+        assert [t.can_add(e) for t in testers] == [expected] * len(testers)
+        return expected
+
+    def push(e):
+        if independent(e):
+            for t in testers:
+                t.push(e)
+            current.append(e)
+            assert greedy.rank(current) == len(current)
+        else:
+            for t in linear:
+                with pytest.raises(ValueError):
+                    t.push(e)
+
+    def pop():
+        if current:
+            e = current.pop()
+            for t in testers:
+                t.pop(e)
+
+    for op, e, f in script:
+        e, f = e % m, f % m
+        if op == "check":
+            ask(e)
+            assert greedy.rank(current + [e]) == len(current) + independent(e)
+        elif op == "push":
+            push(e)
+        elif op == "checked":
+            if ask(e):
+                push(e)
+        elif op == "interleaved":
+            ask(e)
+            ask(f)
+            push(e)
+        elif op == "pop":
+            pop()
+        else:
+            ask(e)
+            pop()
+            push(e)
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.tuples(*[rationals] * d), min_size=1, max_size=8)))
+@settings(max_examples=100, deadline=None)
+def test_linear_tester_rows_are_minors(cols):
+    # Bareiss invariant: entry j of the k-th row is the k-by-k minor of the
+    # first k pushed (scaled) columns on the earlier pivots and j, so every
+    # value is exact, not just its zero pattern
+    tester = LinearTester(cols)
+    for e in range(len(cols)):
+        if tester.can_add(e):
+            tester.push(e)
+    pushed, pivots = [], []
+    for p, w, e, d in tester.stack:
+        pushed.append(tester.columns[e])
+        assert all(isinstance(x, int) for x in tester.columns[e])
+        assert list(w) == [det([[v[i] for i in pivots + [j]] for v in pushed])
+                           for j in range(len(w))]
+        assert d == w[p] != 0 and not any(w[:p])
+        pivots.append(p)
+
+
+def test_linear_tester_reduction_is_reused_only_when_fresh():
+    # (1,1) reduced against (1,0) is (0,1); that reduction is wrong for any
+    # other stack, and for any other element
+    cols = [(1, 0), (0, 1), (1, 1)]
+    tester = LinearTester(cols)
+    tester.push(0)
+    assert tester.can_add(2)
+    tester.pop(0)
+    tester.push(2)                       # must reduce (1,1) afresh
+    assert tester.can_add(1)
+    tester.pop(2)
+    tester.push(0)
+    assert tester.can_add(2) and not tester.can_add(0)
+    tester.push(2)                       # not the reduction of element 0
+    with pytest.raises(ValueError):
+        tester.push(2)                   # nor the one the last push used
+    assert not tester.can_add(1)
+    with pytest.raises(ValueError):
+        tester.pop(0)
+
+
+def test_linear_tester_is_exact_on_rational_columns():
+    # denominators 2, 3 and 5: the third column is the sum of the first two
+    cols = [(Fraction(1, 2), Fraction(1, 3), Fraction(0)),
+            (Fraction(1, 3), Fraction(-1, 5), Fraction(2, 5)),
+            (Fraction(5, 6), Fraction(2, 15), Fraction(2, 5)),
+            (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))]
+    for tester in (LinearTester(cols),
+                   _rep_tester(MatroidOracle(LinearRep.from_columns(cols)))):
+        tester.push(0)
+        tester.push(1)
+        assert not tester.can_add(2)
+        assert tester.can_add(3)
+        tester.push(3)
+        assert [tester.can_add(e) for e in range(4)] == [False] * 4
 
 
 @given(st.integers(0, 4), st.integers(1, 6))
