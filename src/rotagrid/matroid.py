@@ -4,9 +4,12 @@ Three representations are supported: columns of exact rationals (linear),
 edge lists of a multigraph (graphic), and an explicit family of bases.
 Elements are always dense integer indices 0..m-1; display names are
 metadata only.  Each representation decides independence in exactly one
-place, its incremental tester; every rank, rank table, loop and parallel
-class is computed through that tester.  All arithmetic is exact -- the
-linear tester eliminates over integers (Bareiss), never floating point.
+place, its incremental tester; every rank, rank table and loop is computed
+through that tester.  Parallel classes come from a key read off the
+representation (a column's primitive direction, an edge's endpoints, the
+bases through an element), which the tests check against the tester.  All
+arithmetic is exact -- the linear tester eliminates over integers
+(Bareiss), never floating point.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -148,10 +151,15 @@ class MatroidOracle:
         self._table: list[int] | None = None
         self._loops: frozenset[int] | None = None
         self._parallel_classes: tuple[tuple[int, ...], ...] | None = None
+        # no subset's rank exceeds the ceiling, so a greedy scan stops there
         if isinstance(rep, BasesRep):
             self._basis_masks = tuple(sorted(_mask(b) for b in rep.bases))
+            self._ceiling = rep.rank
         elif isinstance(rep, LinearRep):
             self._columns = _columns or tuple(_integer_column(c) for c in rep.columns)
+            self._ceiling = rep.dim
+        else:
+            self._ceiling = rep.vertices - 1
         self.rank_total = self.rank(range(m))
 
     @property
@@ -182,6 +190,8 @@ class MatroidOracle:
         tester = _rep_tester(self)
         rank = 0
         for e in _bits(mask):
+            if rank == self._ceiling:
+                break
             if tester.can_add(e):
                 tester.push(e)
                 rank += 1
@@ -213,22 +223,31 @@ class MatroidOracle:
 
     def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
         """Non-loop elements grouped by pairwise parallelism (rank{e,f} = 1),
-        classes ordered by least element, members increasing."""
+        classes ordered by least element, members increasing.
+
+        Two non-loops are parallel iff their keys are equal: the primitive
+        integer direction of a column, the endpoint pair of an edge, or the
+        sets B - e over the bases B containing e (no basis holds both).
+        """
         if self._parallel_classes is None:
-            m = self.ground.size
-            placed = set(self.loops())
-            groups: list[tuple[int, ...]] = []
-            for e in range(m):
-                if e in placed:
-                    continue
-                tester = tester_for(self)
-                tester.push(e)
-                group = (e, *(f for f in range(e + 1, m)
-                              if f not in placed and not tester.can_add(f)))
-                placed.update(group)
-                groups.append(group)
-            self._parallel_classes = tuple(groups)
+            loops = self.loops()
+            groups: dict = {}
+            for e in range(self.ground.size):
+                if e not in loops:
+                    groups.setdefault(self._parallel_key(e), []).append(e)
+            self._parallel_classes = tuple(map(tuple, groups.values()))
         return self._parallel_classes
+
+    def _parallel_key(self, e: int):
+        rep = self.rep
+        if isinstance(rep, LinearRep):
+            col = self._columns[e]
+            g = gcd(*col) * (1 if next(x for x in col if x) > 0 else -1)
+            return tuple([x // g for x in col])
+        if isinstance(rep, GraphicRep):
+            return frozenset(rep.edges[e])
+        bit = 1 << e
+        return frozenset([bm ^ bit for bm in self._basis_masks if bm & bit])
 
     def restrict(self, subset: Iterable[int]) -> "MatroidOracle":
         """Restriction to `subset`, re-indexed densely in sorted order.

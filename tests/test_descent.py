@@ -312,14 +312,15 @@ def test_rota_random_instances_strictly_decreasing_mu():
             assert trace.steps[-1].mu_after == 0
 
 
-def test_large_descent_is_pinned():
-    # steps and subsolve nodes of the n=12 descent, fixed by its search order
-    inst = random_rota_instance(12, seed=0)
+@pytest.mark.parametrize("n,steps,nodes", [(12, 44, 1584), (16, 79, 3792)])
+def test_large_descent_is_pinned(n, steps, nodes):
+    # steps and subsolve nodes of large descents, fixed by their search order
+    inst = random_rota_instance(n, seed=0)
     trace = rota_solve(inst)
-    grid_inst = GridInstance(inst.matroid, 12, 12, inst.bases, REQUIRED)
+    grid_inst = GridInstance(inst.matroid, n, n, inst.bases, REQUIRED)
     assert validate_grid(grid_inst, trace.grid)
-    assert len(trace.steps) == 44
-    assert sum(s.report.nodes for s in trace.steps) == 1584
+    assert len(trace.steps) == steps
+    assert sum(s.report.nodes for s in trace.steps) == nodes
 
 
 def test_every_intermediate_dp_is_valid():

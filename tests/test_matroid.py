@@ -2,8 +2,9 @@
 
 Reference values are computed by routes independent of the package:
 determinantal rank (nonzero minors, determinants by cofactor expansion) for
-vector matroids, cycle stripping for graphic ones, and endpoint pairs for
-graphic loops and parallel classes.
+vector matroids, cycle stripping for graphic ones, endpoint pairs for
+graphic loops and parallel classes, and a pairwise tester walk for the
+parallel classes of every representation.
 """
 
 from fractions import Fraction
@@ -69,6 +70,24 @@ def has_cycle(vertices, edges):
                 kept.append((u, w))
         edges = kept
     return bool(edges)
+
+
+def reference_parallel_classes(oracle):
+    """Pairwise walk: each unplaced non-loop e collects every later unplaced f
+    that a tester holding e cannot add, i.e. rank{e, f} = 1."""
+    m = oracle.ground.size
+    placed = set(oracle.loops())
+    groups = []
+    for e in range(m):
+        if e in placed:
+            continue
+        tester = make_tester(oracle)
+        tester.push(e)
+        group = (e, *(f for f in range(e + 1, m)
+                      if f not in placed and not tester.can_add(f)))
+        placed.update(group)
+        groups.append(group)
+    return tuple(groups)
 
 
 # --- rank ------------------------------------------------------------------
@@ -319,19 +338,19 @@ def test_tester_matches_oracle(rep, order):
 @given(graphic_reps)
 @settings(max_examples=100, deadline=None)
 def test_graphic_rank_matches_cycle_stripping(rep):
-    oracle = MatroidOracle(rep)
-    table = MatroidOracle(rep).build_rank_table()
-    m = oracle.ground.size
-    for size in range(min(m, 5) + 1):
-        for c in combinations(range(m), size):
-            sub = [rep.edges[e] for e in c]
-            # rank = |A| - independent cycles; build greedily as a check
-            independent: list[tuple[int, int]] = []
-            for edge in sub:
-                if not has_cycle(rep.vertices, independent + [edge]):
-                    independent.append(edge)
-            assert oracle.rank(c) == len(independent)
-            assert table[sum(1 << e for e in c)] == len(independent)
+    # an extra isolated vertex keeps every rank below the ceiling vertices - 1
+    reps = [GraphicRep(v, rep.edges) for v in (rep.vertices, rep.vertices + 1)]
+    greedy = [MatroidOracle(r) for r in reps]
+    tables = [MatroidOracle(r).build_rank_table() for r in reps]
+    for mask in range(1 << len(rep.edges)):
+        c = [e for e in range(len(rep.edges)) if mask >> e & 1]
+        # rank = |A| - independent cycles; build greedily as a check
+        independent: list[tuple[int, int]] = []
+        for edge in (rep.edges[e] for e in c):
+            if not has_cycle(rep.vertices, independent + [edge]):
+                independent.append(edge)
+        assert [g.rank(c) for g in greedy] == [len(independent)] * 2
+        assert [t[mask] for t in tables] == [len(independent)] * 2
 
 
 def endpoint_classes(edges):
@@ -379,7 +398,7 @@ def linear_columns(draw, max_dim=4, max_size=6, entries=st.integers(-3, 3)):
             cols.append(tuple(a + b for a, b in zip(u, w)))
         else:
             factor = 1 if kind == "repeat" else draw(
-                st.sampled_from([-1, 2, Fraction(-3, 2)]))
+                st.sampled_from([-1, 2, Fraction(-3, 2), Fraction(2, 3)]))
             cols.append(tuple(factor * x for x in draw(st.sampled_from(cols))))
     return cols
 
@@ -387,14 +406,31 @@ def linear_columns(draw, max_dim=4, max_size=6, entries=st.integers(-3, 3)):
 @given(linear_columns())
 @settings(max_examples=150, deadline=None)
 def test_linear_rank_matches_nonzero_minors(cols):
-    rep = LinearRep.from_columns(cols)
-    greedy = MatroidOracle(rep)
-    table = MatroidOracle(rep).build_rank_table()
+    # a zero coordinate appended to every column keeps each rank below dim
+    reps = [LinearRep.from_columns(v) for v in (cols, [c + (0,) for c in cols])]
+    greedy = [MatroidOracle(rep) for rep in reps]
+    tables = [MatroidOracle(rep).build_rank_table() for rep in reps]
     for mask in range(1 << len(cols)):
         subset = [e for e in range(len(cols)) if mask >> e & 1]
         expected = minor_rank([cols[e] for e in subset]) if subset else 0
-        assert greedy.rank(subset) == expected
-        assert table[mask] == expected
+        assert [g.rank(subset) for g in greedy] == [expected] * 2
+        assert [t[mask] for t in tables] == [expected] * 2
+
+
+@given(st.one_of(linear_columns(max_size=10).map(LinearRep.from_columns),
+                 graphic_reps),
+       st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_parallel_classes_match_reference_walk(rep, trailing_loops):
+    # the basis family of the same matroid, with loops appended past its
+    # last element, has the same classes
+    oracle = MatroidOracle(rep)
+    expanded = MatroidOracle(
+        BasesRep(oracle.rank_total, enumerate_bases(oracle)),
+        ground_size=oracle.ground.size + trailing_loops)
+    for M in (oracle, expanded):
+        assert M.parallel_classes() == reference_parallel_classes(M)
+    assert expanded.parallel_classes() == oracle.parallel_classes()
 
 
 # A script step is (op, e, f).  "check" asks can_add(e); "push" pushes e with
