@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, grid_instance=True, matroid=True, k=True, out=True)
 
     p = sub.add_parser("verify-c3",
-                       help="sweep all row families over 9-element matroids")
+                       help="sweep all row families over <= 12 elements")
     add_common(p, matroid=True, seed=True)
     p.add_argument("--linear", type=int, default=25, metavar="N")
     p.add_argument("--graphic", type=int, default=25, metavar="N")

@@ -1,4 +1,4 @@
-"""Built-in problem instances, catalog generators, and the n=3 sweep.
+"""Built-in problem instances, catalog generators, and the row-family sweep.
 
 The named instances are the known small obstructions to two-column grid
 completion -- the graphic matroid of K4 with its non-incident edge pairs,
@@ -6,10 +6,10 @@ and the eight-point rank-4 matroid J in its standard vector coordinates --
 plus the dependent-row family: McDiarmid's K4-with-doubled-spokes
 multigraph and, generally, odd wheels with duplicated spokes.
 
-The sweep decides every admissible row family over a rank-3 matroid on nine
-elements by solving the maximal ones up to row order; an unsolvable family
-would be a counterexample to three-column grid completion and is reported
-verbatim.
+The sweep decides every admissible row family over a rank-n matroid on
+nk <= 12 elements by solving the maximal ones up to row order, and reports
+unsolvable ones verbatim: at k = 3 a counterexample to three-column grid
+completion, at k = 2 the known obstructions of M(K4) and J.
 """
 
 from __future__ import annotations
@@ -272,28 +272,24 @@ def random_rota_instance(n: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# the n = 3 sweep
+# the sweep
 
 
-def enumerate_row_families(oracle: MatroidOracle, rows: int = 3,
-                           cap: int = 3, require_independent: bool = True,
+def enumerate_row_families(oracle: MatroidOracle, rows: int | None = None,
+                           cap: int | None = None,
                            ) -> Iterator[tuple[frozenset[int], ...]]:
-    """All ordered tuples of pairwise-disjoint row sets with |I_i| <= cap.
+    """All ordered tuples of disjoint independent rows with |I_i| <= cap.
 
     Every element independently joins one row or none; a candidate row is
-    pruned as soon as it exceeds the size cap or (when required) goes
-    dependent, which is exact because independence is hereditary.
+    pruned as soon as it exceeds the size cap or goes dependent, which is
+    exact because independence is hereditary.  Default: rank rows, cap m/rank.
     """
     m = oracle.ground.size
-    table = oracle.build_rank_table() if m <= 12 else None
+    rows = oracle.rank_total if rows is None else rows
+    cap = m // max(rows, 1) if cap is None else cap
+    table = oracle.build_rank_table()
     masks = [0] * rows
     sizes = [0] * rows
-
-    def indep(mask: int) -> bool:
-        if table is not None:
-            return table[mask] == bin(mask).count("1")
-        return oracle.rank([i for i in range(m) if mask >> i & 1]) \
-            == bin(mask).count("1")
 
     def rec(e: int) -> Iterator[tuple[frozenset[int], ...]]:
         if e == m:
@@ -307,7 +303,7 @@ def enumerate_row_families(oracle: MatroidOracle, rows: int = 3,
             if sizes[r] == cap:
                 continue
             nxt = masks[r] | bit
-            if require_independent and not indep(nxt):
+            if table[nxt] != sizes[r] + 1:
                 continue
             masks[r] = nxt
             sizes[r] += 1
@@ -323,13 +319,13 @@ def _row_sets(masks: Sequence[int], m: int) -> tuple[frozenset[int], ...]:
                  for mask in masks)
 
 
-def _count_families(indep: Sequence[int], m: int) -> int:
-    """Exact number of families `enumerate_row_families` yields (3 rows, cap 3).
+def _count_families(indep: Sequence[int], n: int, m: int) -> int:
+    """Exact number of families `enumerate_row_families` yields (n rows).
 
-    h[S] counts the independent sets inside S (a subset-sum transform);
-    the third row of a family with first rows A, B is any independent subset
-    of the complement of A | B.  Every independent set of a rank-3 matroid
-    has at most 3 elements, so the size cap is implied.
+    `indep` lists the independent sets within the size cap.  h[S] counts
+    those inside S (a subset-sum transform), so the last row of a family is
+    any of h[complement] sets; `ways` maps the union of the first rows to
+    the number of ordered prefixes with that union.
     """
     full = (1 << m) - 1
     h = [0] * (1 << m)
@@ -340,47 +336,60 @@ def _count_families(indep: Sequence[int], m: int) -> int:
         for s in range(1 << m):
             if s & bit:
                 h[s] += h[s ^ bit]
-    return sum(h[full & ~(a | b)] for a in indep for b in indep if not a & b)
+    ways = {0: 1}
+    for _ in range(n - 1):
+        grown: dict[int, int] = {}
+        for used, w in ways.items():
+            for a in indep:
+                if not a & used:
+                    grown[a | used] = grown.get(a | used, 0) + w
+        ways = grown
+    return sum(w * h[full & ~used] for used, w in ways.items())
 
 
 def _canonical_maximal_families(table: Sequence[int], indep: Sequence[int],
-                                m: int) -> Iterator[tuple[int, int, int]]:
-    """Row masks a <= b <= c of every maximal family over a rank-3 matroid.
+                                n: int, k: int, m: int,
+                                ) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing row masks of every maximal family of n rows, cap k.
 
     A family is maximal when no unused element can join a row of size
-    under 3 and keep it independent.  `ext[s]` holds the elements outside s
+    under k and keep it independent.  `ext[s]` holds the elements outside s
     that keep s independent (none once s is full), so maximality says the
-    third row contains every element the first two rows could still take,
-    and takes nothing more itself.
+    last row contains every element the other rows could still take, and
+    takes nothing more itself.  Each row starts at the previous row's index
+    in `indep`, which keeps the masks nondecreasing.
     """
     full = (1 << m) - 1
     ext = {}
     for s in indep:
         ext[s] = 0
-        if table[s] < 3:
+        if table[s] < k:
             for e in range(m):
                 bit = 1 << e
                 if not s & bit and table[s | bit] > table[s]:
                     ext[s] |= bit
-    for a in indep:
-        for b in indep:
-            if b < a or a & b:
-                continue
-            rest = full & ~(a | b)
-            need = (ext[a] | ext[b]) & rest
-            if need not in ext:       # the third row could not hold it
-                continue
-            for c in indep:
-                if c >= b and not c & ~rest and c & need == need \
-                        and not ext[c] & rest:
-                    yield a, b, c
+
+    def extend(start: int, used: int, reach: int, rows: tuple) -> Iterator:
+        if len(rows) < n - 1:
+            for i, a in enumerate(indep[start:], start):
+                if not a & used:
+                    yield from extend(i, used | a, reach | ext[a], rows + (a,))
+            return
+        rest = full & ~used
+        need = reach & rest
+        if need in ext:       # else the last row could not hold it
+            for c in indep[start:]:
+                if not c & ~rest and c & need == need and not ext[c] & rest:
+                    yield rows + (c,)
+
+    yield from extend(0, 0, 0, ())
 
 
-def _sweep_exhaustive(oracle: MatroidOracle) -> SweepReport:
+def _sweep_exhaustive(oracle: MatroidOracle, n: int, k: int) -> SweepReport:
     families = sat = unsat = 0
     examples = []
-    for rows in enumerate_row_families(oracle):
-        inst = GridInstance(oracle, 3, 3, rows, REQUIRED)
+    for rows in enumerate_row_families(oracle, rows=n, cap=k):
+        inst = GridInstance(oracle, n, k, rows, REQUIRED)
         families += 1
         if solve(inst).status == SAT:
             sat += 1
@@ -395,9 +404,10 @@ def _sweep_exhaustive(oracle: MatroidOracle) -> SweepReport:
 def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepReport:
     """Decide every admissible independent row family over `oracle`.
 
-    Requires a rank-3 matroid on nine elements that is a disjoint union of
-    three bases.  Reports totals and every unsolvable family verbatim (up to
-    16 retained examples); any nonzero `unsat` is a counterexample to
+    The matroid fixes the shape: n rows, its rank, of at most k = m/n
+    elements, with m <= 12 (the rank table's bound) and a split into k
+    bases.  Reports totals and every unsolvable family verbatim (up to 16
+    retained examples); at k = 3 any nonzero `unsat` is a counterexample to
     three-column grid completion.
 
     Only the maximal families with row masks in nondecreasing order are
@@ -409,21 +419,21 @@ def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepRep
     which yields the exact `sat`, `unsat` and examples.  `processes` is accepted
     for compatibility and ignored: the sweep runs in the calling process.
     """
-    m = oracle.ground.size
-    if m != 9:
-        raise ValueError(f"sweep needs 9 elements, got {m}")
-    if oracle.rank_total != 3:
-        raise ValueError(f"sweep needs rank 3, got {oracle.rank_total}")
-    if find_basis_partition(oracle, 3) is None:
-        raise ValueError("sweep needs a disjoint union of three bases")
+    m, n = oracle.ground.size, oracle.rank_total
+    if n < 1 or m % n or m > 12:
+        raise ValueError(f"sweep needs rank n >= 1 on n*k <= 12 elements, "
+                         f"got rank {n} on {m}")
+    k = m // n
+    if find_basis_partition(oracle, k) is None:
+        raise ValueError(f"sweep needs a disjoint union of {k} bases")
 
     table = oracle.build_rank_table()
-    indep = [s for s in range(1 << m) if table[s] == bin(s).count("1")]
-    for masks in _canonical_maximal_families(table, indep, m):
-        inst = GridInstance(oracle, 3, 3, _row_sets(masks, m), REQUIRED)
+    indep = [s for s in range(1 << m) if table[s] == bin(s).count("1") <= k]
+    for masks in _canonical_maximal_families(table, indep, n, k, m):
+        inst = GridInstance(oracle, n, k, _row_sets(masks, m), REQUIRED)
         if solve(inst).status != SAT:
-            return _sweep_exhaustive(oracle)
-    families = _count_families(indep, m)
+            return _sweep_exhaustive(oracle, n, k)
+    families = _count_families(indep, n, m)
     return SweepReport(oracle.name or "matroid", families, families, 0, ())
 
 

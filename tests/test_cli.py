@@ -131,8 +131,19 @@ def test_verify_c3_single_matroid(tmp_path):
     assert sweep["families"] == sweep["sat"]
 
 
+def test_verify_c3_reports_k4_obstructions(tmp_path):
+    # M(K4) is a 3 x 2 shape whose sweep has 60 unsolvable families
+    code = run(["verify-c3", "--matroid", "k4-c2",
+                "--json", str(tmp_path / "sweep.json")])
+    assert code == 1
+    result = load_report(tmp_path / "sweep.json")["result"]
+    assert result["total_unsat"] == 60
+    assert len(result["reports"][0]["examples_of_unsat"]) == 16
+
+
 def test_verify_c3_rejects_wrong_size():
-    assert run(["verify-c3", "--matroid", "k4-c2"]) == 2
+    # 25 elements: past the rank table's 12
+    assert run(["verify-c3", "--matroid", "odd-wheel-5"]) == 2
 
 
 # --- check-matroid -------------------------------------------------------------------
@@ -318,6 +329,12 @@ CHECK_RESULT = {"name": "m", "elements": 4, "rank": 2, "ok": True,
                 "violation": None}
 
 
+def _sweep_result(examples):
+    return {"reports": [{"matroid": "m", "families": 20, "sat": 3,
+                         "unsat": 17, "examples_of_unsat": examples}],
+            "total_unsat": 17}
+
+
 @pytest.mark.parametrize("kind,result", [
     ("descent-step", {"step": None}),
     ("descent-step", {"mu": 6, "step": {"block": [0, 1, 2]}}),
@@ -334,6 +351,10 @@ CHECK_RESULT = {"name": "m", "elements": 4, "rank": 2, "ok": True,
     ("count", dict(SOLVE_RESULT, status="UNKNOWN", count=5)),
     ("solve", dict(SOLVE_RESULT, status="UNKNOWN", count=None,
                    grid=[[0, 1]])),
+    ("verify-c3", _sweep_result([[[0, 1], [-1]]])),
+    ("verify-c3", _sweep_result([[0, 1]])),
+    ("verify-c3", _sweep_result([[[0], [1.5]]])),
+    ("verify-c3", _sweep_result([[[e], []] for e in range(17)])),
 ])
 def test_schema_rejects_malformed_result(kind, result):
     with pytest.raises(jsonschema.ValidationError):
@@ -350,6 +371,7 @@ def test_schema_rejects_malformed_result(kind, result):
     ("check-matroid", dict(CHECK_RESULT, ok=False, violation={
         "basis": [0, 1], "removed": 0, "against": [2, 3]})),
     ("count", dict(SOLVE_RESULT, status="UNKNOWN", count=None)),
+    ("verify-c3", _sweep_result([[[e], []] for e in range(16)])),
 ])
 def test_schema_accepts_wellformed_result(kind, result):
     jsonschema.validate(_report(kind, result), SCHEMA)

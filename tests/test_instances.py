@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, MatroidOracle,
-                      builtin_instance, count_solutions, enumerate_bases,
+from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, GridInstance,
+                      MatroidOracle, brute_force_count, builtin_instance,
+                      complete_graph_matroid, count_solutions, enumerate_bases,
                       enumerate_row_families, find_basis_partition,
                       is_disjoint_union_of_bases, k4_c2_instance,
                       mcdiarmid_instance, odd_wheel_instance, oxley_j_instance,
@@ -16,7 +17,8 @@ from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, MatroidOracle,
                       uniform_matroid, validate_instance, verify_basis_axioms,
                       verify_c3_for_matroid)
 from rotagrid.grid import SolveReport
-from rotagrid.instances import _canonical_maximal_families, _sweep_exhaustive
+from rotagrid.instances import (_canonical_maximal_families, _count_families,
+                                _sweep_exhaustive)
 
 J_ROW_VECTORS = {
     0: {(-2, 3, 0, 1), (0, 0, 1, 1)},
@@ -225,11 +227,13 @@ def test_u39_family_count_is_136348(u39):
     assert sum(1 for _ in enumerate_row_families(u39)) == 136348
 
 
+LOOPED = MatroidOracle(   # rank 3 on nine edges, one of them a loop
+    GraphicRep(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                   (0, 0), (1, 3), (2, 3))))
+
+
 def test_families_never_contain_loops():
-    looped = MatroidOracle(
-        GraphicRep(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-                       (0, 0), (1, 3), (2, 3))))
-    for fam in enumerate_row_families(looped):
+    for fam in enumerate_row_families(LOOPED):
         for row in fam:
             assert 6 not in row
 
@@ -250,9 +254,16 @@ def test_families_respect_filters(u39):
 
 # --- verify_c3 ---------------------------------------------------------------------------
 
-def test_sweep_rejects_wrong_ground_size(k4):
+def test_sweep_rejects_wrong_ground_size():
+    # 15 = 3 * 5 elements split into bases, but the rank table stops at 12
     with pytest.raises(ValueError):
-        verify_c3_for_matroid(k4)
+        verify_c3_for_matroid(uniform_matroid(3, 15))
+
+
+def test_sweep_rejects_matroid_without_basis_split():
+    # rank 3 on nine elements, but a loop lies in no basis
+    with pytest.raises(ValueError):
+        verify_c3_for_matroid(LOOPED)
 
 
 def test_sweep_rejects_wrong_rank():
@@ -268,44 +279,116 @@ def test_sweep_mcdiarmid_matroid_all_solvable(mcd):
     assert report.families > 0
 
 
+# --- positive controls: two-column obstructions the sweep must find ----------
+
+def test_sweep_finds_every_k4_obstruction(k4):
+    """M(K4) at (3, 2); brute force is zero on exactly the UNSAT families."""
+    report = verify_c3_for_matroid(k4)
+    assert (report.families, report.sat, report.unsat) == (2074, 2014, 60)
+    assert len(report.unsat_examples) == 16
+    assert report == _sweep_exhaustive(k4, 3, 2)
+    unsat, zeros = set(), set()
+    for rows in enumerate_row_families(k4):
+        inst = GridInstance(k4, 3, 2, rows, REQUIRED)
+        fam = tuple(tuple(sorted(r)) for r in rows)
+        if solve(inst).status == "UNSAT":
+            unsat.add(fam)
+        if brute_force_count(inst) == 0:
+            zeros.add(fam)
+    assert len(zeros) == 60 and zeros == unsat
+    assert set(report.unsat_examples) <= zeros
+    assert ((0, 5), (1, 4), (2, 3)) in zeros      # the named k4-c2 rows
+
+
+def test_sweep_finds_the_j_obstructions(oxley_j):
+    """J at (4, 2); every kept example also counts zero grids."""
+    report = verify_c3_for_matroid(oxley_j)
+    assert (report.families, report.sat, report.unsat) == (114721, 114097, 624)
+    assert len(report.unsat_examples) == 16
+    for fam in report.unsat_examples:
+        rows = tuple(frozenset(r) for r in fam)
+        assert count_solutions(GridInstance(oxley_j, 4, 2, rows,
+                                            REQUIRED)) == 0
+
+
+# --- the sweep against plain enumeration -----------------------------------
+
 SWEEP_MATROIDS = {
     "u39": lambda: uniform_matroid(3, 9, name="u39"),
     "linear-s0": lambda: random_linear_matroid(3, 9, seed=0),
     "linear-s1": lambda: random_linear_matroid(3, 9, seed=1),
     "graphic-s500": lambda: random_graphic_matroid(4, 9, seed=500),
     "graphic-s501": lambda: random_graphic_matroid(4, 9, seed=501),
+    "k4": lambda: complete_graph_matroid(4),
+    "u26": lambda: uniform_matroid(2, 6),
+    "u36": lambda: uniform_matroid(3, 6),
+    "graphic-v4-m6-s0": lambda: random_graphic_matroid(4, 6, seed=0),
+    "linear-r2-m6-s0": lambda: random_linear_matroid(2, 6, seed=0),
 }
+SMALL_SWEEP_MATROIDS = ["k4", "u26", "u36", "graphic-v4-m6-s0",
+                        "linear-r2-m6-s0"]
 
 
-def _is_maximal(oracle, fam):
+def _is_maximal(oracle, fam, k, m):
     used = frozenset().union(*fam)
-    return not any(len(row) < 3 and oracle.is_independent(row | {e})
-                   for row in fam for e in range(9) if e not in used)
+    return not any(len(row) < k and oracle.is_independent(row | {e})
+                   for row in fam for e in range(m) if e not in used)
 
 
 def _masks(fam):
     return tuple(sum(1 << e for e in row) for row in fam)
 
 
+def _shape_and_sets(oracle):
+    """(n, k, m), the rank table, and the independent sets of size <= k."""
+    m, n = oracle.ground.size, oracle.rank_total
+    k = m // n
+    table = oracle.build_rank_table()
+    indep = [s for s in range(1 << m) if table[s] == bin(s).count("1") <= k]
+    return (n, k, m), table, indep
+
+
 @pytest.mark.parametrize("key", sorted(SWEEP_MATROIDS))
 def test_sweep_counts_and_maximal_families_match_enumeration(key):
     oracle = SWEEP_MATROIDS[key]()
-    enumerated = list(enumerate_row_families(oracle))
+    (n, k, m), table, indep = _shape_and_sets(oracle)
+    enumerated = list(enumerate_row_families(oracle, rows=n, cap=k))
     assert verify_c3_for_matroid(oracle).families == len(enumerated)
-    table = oracle.build_rank_table()
-    indep = [s for s in range(512) if table[s] == bin(s).count("1")]
-    generated = list(_canonical_maximal_families(table, indep, 9))
+    assert _count_families(indep, n, m) == len(enumerated)
+    generated = list(_canonical_maximal_families(table, indep, n, k, m))
     expected = sorted(_masks(fam) for fam in enumerated
                       if list(_masks(fam)) == sorted(_masks(fam))
-                      and _is_maximal(oracle, fam))
+                      and _is_maximal(oracle, fam, k, m))
     assert sorted(generated) == expected
     assert len(set(generated)) == len(generated)
 
 
-@pytest.mark.parametrize("key", ["u39", "graphic-s500"])
+@pytest.mark.parametrize("key", sorted(set(SWEEP_MATROIDS) - {"k4"}))
+def test_sweep_solves_only_the_maximal_families(key, monkeypatch):
+    """On an all-SAT matroid the sweep solves each maximal family once."""
+    import rotagrid.instances as instances
+    oracle = SWEEP_MATROIDS[key]()
+    (n, k, m), table, indep = _shape_and_sets(oracle)
+    maximal = [tuple(frozenset(e for e in range(m) if mask >> e & 1)
+                     for mask in masks)
+               for masks in _canonical_maximal_families(table, indep, n, k, m)]
+    real_solve = instances.solve
+    solved = []
+
+    def recording_solve(inst, *args, **kwargs):
+        solved.append(inst.rows)
+        return real_solve(inst, *args, **kwargs)
+
+    monkeypatch.setattr(instances, "solve", recording_solve)
+    assert verify_c3_for_matroid(oracle).unsat == 0
+    assert solved == maximal
+
+
+@pytest.mark.parametrize("key", ["u39", "graphic-s500"] + SMALL_SWEEP_MATROIDS)
 def test_sweep_report_equals_exhaustive_sweep(key):
     oracle = SWEEP_MATROIDS[key]()
-    assert verify_c3_for_matroid(oracle) == _sweep_exhaustive(oracle)
+    (n, k, _), _, _ = _shape_and_sets(oracle)
+    assert verify_c3_for_matroid(oracle) == _sweep_exhaustive(oracle, n, k)
 
 
 def test_sweep_falls_back_to_every_family_on_unsat(u39, monkeypatch):
