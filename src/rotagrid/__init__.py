@@ -9,8 +9,8 @@ from .matroid import (BasesRep, GraphicRep, GroundSet, LinearRep,
                       verify_basis_axioms)
 from .grid import (NOT_REQUIRED, REQUIRED, Grid, GridInstance, InstanceCheck,
                    SolveReport, brute_force_count, count_solutions,
-                   find_basis_partition, solve, validate_grid,
-                   validate_instance)
+                   find_basis_partition, solve, splits_into_bases,
+                   validate_grid, validate_instance)
 from .descent import (CounterexampleCertificate, DescentStep, DescentTrace,
                       DoublePartition, RotaInstance, Subinstance,
                       build_subinstance, check_double_partition, descent_step,

@@ -3,13 +3,23 @@
 An instance asks for an n x k grid using every element of a rank-n matroid
 on n*k elements exactly once, where row i must contain the prescribed set
 I_i and every column must be a basis.  Both searches here, the solver over
-cells in column-major order and the basis-partition check, are one loop
-over an explicit stack, so neither has a depth limit.  Each solver cell
-keeps a bitmask of its untried candidates, tried in increasing index.
+cells in column-major order and the least basis partition that the
+generators need, are one loop over an explicit stack, so neither has a
+depth limit.  Each solver cell keeps a bitmask of its untried candidates,
+tried in increasing index.  Whether a set splits into disjoint bases at all
+is decided in polynomial time by matroid partition (`splits_into_bases`),
+which also checks the k-disjoint-bases hypothesis.
 
 Pruning keeps counts exact: a partial column must stay independent (the
 incremental tester subsumes closure-based candidate filtering), and a row
 must always retain enough empty cells for its unplaced prescribed elements.
+On entering column c >= 1 with k - c >= 3 columns left (and n >= 2), the
+unused elements must split into k - c bases, or the column gets no
+candidates.
+The lookahead ignores rows, so it is sound in count mode too.  The gate is
+fixed by the grid's shape: with fewer columns left the test costs more than
+the search it replaces, so solves with k <= 3 never run it, and at rank 1
+the loop check already decides it.
 Symmetry breaking is applied only in decision mode, where it is sound:
 column permutations act freely on solutions (row-0 entries are forced to
 increase across columns), and so do exchanges of parallel elements that
@@ -24,8 +34,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .matroid import (BasesRep, MatroidOracle, _mask, find_exchange_violation,
-                      tester_for)
+from .matroid import (BasesRep, MatroidOracle, _bits, _mask,
+                      find_exchange_violation, tester_for)
 
 REQUIRED = "REQUIRED"
 NOT_REQUIRED = "NOT_REQUIRED"
@@ -147,8 +157,94 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
     return tuple(frozenset(e for e in range(m) if assign[e] == p) for p in range(parts))
 
 
+def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
+    """True iff the elements of bitmask `mask` split into `parts` disjoint bases.
+
+    Edmonds' matroid partition (Edmonds 1965; Cunningham 1986), polynomial
+    and exact.  Each element first joins the next part, cyclically, that
+    keeps it independent, so parallel elements spread at once.  Every element
+    left over is inserted along a shortest augmenting path, found breadth
+    first.  An edge x -> y, y in part j and x not, means part j - y + x is
+    independent: y lies on x's circuit in part j.  A path ends at an element
+    that some other part takes as it is.  Shortest paths keep every exchanged
+    part independent.  When no path exists the elements placed so far plus
+    the leftover have no partition into `parts` independent sets, so none
+    into bases.
+    """
+    r = oracle.rank_total
+    elems = _bits(mask)
+    if parts < 0 or len(elems) != r * parts:
+        return False
+    members: list[list[int]] = [[] for _ in range(parts)]
+    full = [tester_for(oracle) for _ in range(parts)]
+    part_of = dict.fromkeys(elems, -1)
+    left = []
+    j = -1
+    for e in elems:
+        for _ in range(parts):
+            j = (j + 1) % parts
+            if full[j].can_add(e):
+                full[j].push(e)
+                members[j].append(e)
+                part_of[e] = j
+                break
+        else:
+            left.append(e)
+    for s in left:
+        came_from = {s: None}
+        queue = [s]
+        # reach[j] holds the members of part j on the queue
+        reach = [tester_for(oracle) for _ in range(parts)]
+        sink = None
+        for x in queue:
+            px = part_of[x]
+            sink = next((j for j in range(parts) if j != px
+                         and len(members[j]) < r and full[j].can_add(x)), None)
+            if sink is not None:
+                break
+            for j in range(parts):
+                if j == px:
+                    continue
+                tester = reach[j]
+                # x's circuit in part j leaves the queue exactly when the
+                # members on the queue do not span x; on top of x, the first
+                # member off the queue that does not fit lies on the circuit
+                while tester.can_add(x):
+                    pushed = [x]
+                    tester.push(x)
+                    for y in members[j]:
+                        if y not in came_from:
+                            if not tester.can_add(y):
+                                break
+                            tester.push(y)
+                            pushed.append(y)
+                    for f in reversed(pushed):
+                        tester.pop(f)
+                    came_from[y] = x
+                    queue.append(y)
+                    tester.push(y)
+        if sink is None:
+            return False
+        # move x into `sink`, then each predecessor into the part x left
+        changed = set()
+        while x is not None:
+            old = part_of[x]
+            members[sink].append(x)
+            if old >= 0:
+                members[old].remove(x)
+            part_of[x] = sink
+            changed.add(sink)
+            sink, x = old, came_from[x]
+        for j in changed:
+            tester = full[j] = tester_for(oracle)
+            for f in members[j]:
+                tester.push(f)
+    return True
+
+
 def validate_instance(inst: GridInstance, check_basis_partition: bool = True) -> InstanceCheck:
-    """Check instance invariants and (optionally) the k-disjoint-bases hypothesis.
+    """Check instance invariants and (optionally) the k-disjoint-bases hypothesis,
+    which matroid partition decides in polynomial time.
 
     An explicit basis family must satisfy the exchange axiom: the solver's
     pruning assumes the independent sets are closed under subsets.
@@ -178,7 +274,7 @@ def validate_instance(inst: GridInstance, check_basis_partition: bool = True) ->
             if not M.is_independent(row):
                 failures.append(f"row {i} is dependent but independence is required")
     if check_basis_partition and not failures:
-        if find_basis_partition(M, inst.k) is None:
+        if not splits_into_bases(M, (1 << m) - 1, inst.k):
             failures.append(f"ground set is not a disjoint union of {inst.k} bases")
     return InstanceCheck(not failures, tuple(failures))
 
@@ -244,6 +340,9 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
     pop_at = [testers[t // n].pop for t in range(total)]
     above_at = [break_columns and decide and t >= n and t % n == 0
                 for t in range(total)]
+    # the partition lookahead's cells and part counts (module docstring)
+    parts_at = [k - t // n if n > 1 and t >= n and t % n == 0
+                and k - t // n >= 3 else 0 for t in range(total)]
     cells = [-1] * total
     rest = [0] * total       # rest[t]: untried candidates of cell t
     limit = -1 if node_budget is None else node_budget
@@ -273,6 +372,9 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
                 cand = (wide[i] if slack[i] else own[i]) & unused & ready
                 if above_at[t]:
                     cand &= -(2 << cells[t - n])
+                if (parts_at[t] and cand
+                        and not splits_into_bases(M, unused, parts_at[t])):
+                    cand = 0
                 continue
             count += 1
             if first is None:

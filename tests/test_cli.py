@@ -297,6 +297,14 @@ def test_deep_instance_under_budget_is_undecided(tmp_path):
         == ("UNKNOWN", None, 10000)
 
 
+def test_odd_wheel_33_hypothesis_check_finishes(tmp_path):
+    # the check splits 1,089 elements into 33 spanning trees by matroid
+    # partition; the partition search would not finish
+    grid = materialize("odd-wheel-33", tmp_path)
+    assert run(["solve", "--grid-instance", str(grid),
+                "--node-budget", "10000"]) == 3
+
+
 def test_odd_wheel_7_hypothesis_check_finishes(tmp_path):
     # the hypothesis check has no budget, so it must finish on its own
     grid = materialize("odd-wheel-7", tmp_path)

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotagrid.grid
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
-                      GridInstance, MatroidOracle, brute_force_count,
-                      builtin_instance, c3_catalog, count_solutions,
-                      find_basis_partition, is_disjoint_union_of_bases,
-                      k4_c2_instance, mcdiarmid_instance,
-                      random_linear_matroid, solve, uniform_matroid,
-                      validate_grid, validate_instance)
+                      GridInstance, LinearRep, MatroidOracle,
+                      brute_force_count, builtin_instance, c3_catalog,
+                      count_solutions, enumerate_bases, find_basis_partition,
+                      is_disjoint_union_of_bases, k4_c2_instance,
+                      mcdiarmid_instance, random_linear_matroid, solve,
+                      splits_into_bases, uniform_matroid, validate_grid,
+                      validate_instance)
 from rotagrid.matroid import tester_for as make_tester
 
 
@@ -307,6 +309,82 @@ def test_partition_search_has_no_depth_limit():
     assert find_basis_partition(wheel, 33, node_cap=10_000) is None
 
 
+# --- splits_into_bases ---------------------------------------------------------------
+
+@st.composite
+def split_draws(draw):
+    """A graphic, linear or BASES matroid, a number of parts, and `parts`
+    times its rank elements of it: the inputs of the partition lookahead."""
+    kind = draw(st.sampled_from(["graphic", "linear", "bases"]))
+    dim = draw(st.integers(1, 3))
+    parts = draw(st.integers(1, 12 // dim))
+    m = parts * dim + draw(st.integers(0, 3))
+    if kind == "linear" or kind == "bases" and draw(st.booleans()):
+        # entries in -1..1: parallel columns, dependent triples and loops
+        columns = [tuple(draw(st.integers(-1, 1)) for _ in range(dim))
+                   for _ in range(m)]
+        oracle = MatroidOracle(LinearRep.from_columns(columns))
+    else:
+        # dim + 1 vertices: a loopless multigraph of rank at most dim
+        edges = []
+        for _ in range(m):
+            u = draw(st.integers(0, dim))
+            w = draw(st.integers(0, dim - 1))
+            edges.append((u, w + (w >= u)))
+        oracle = MatroidOracle(GraphicRep(dim + 1, tuple(edges)))
+    if kind == "bases":
+        oracle = MatroidOracle(
+            BasesRep.from_sets(oracle.rank_total, enumerate_bases(oracle)),
+            ground_size=m)
+    chosen = draw(st.permutations(range(m)))[:parts * oracle.rank_total]
+    return oracle, chosen, parts
+
+
+def test_splits_into_bases_matches_the_partition_search():
+    # both answers are exact, so they must agree on every draw, and the
+    # draws must reach both answers
+    seen = set()
+
+    @given(split_draws())
+    @settings(max_examples=400, deadline=None)
+    def agree(case):
+        oracle, chosen, parts = case
+        mask = sum(1 << e for e in chosen)
+        want = find_basis_partition(oracle.restrict(chosen), parts) is not None
+        assert splits_into_bases(oracle, mask, parts) == want
+        seen.add(want)
+
+    agree()
+    assert seen == {True, False}
+
+
+def test_splits_into_bases_follows_every_circuit_member():
+    # the greedy fill leaves element 5 over, and the split is found only by
+    # exchanges through every member of each circuit met; a search that
+    # follows one member per circuit answers no here
+    cols = [(1, 1, -1), (1, -1, 1), (0, -1, 0), (1, 1, 0), (0, -1, 0), (1, 0, -1)]
+    oracle = MatroidOracle(LinearRep.from_columns(cols))
+    assert find_basis_partition(oracle, 2) is not None
+    assert splits_into_bases(oracle, 0b111111, 2)
+
+
+def test_splits_into_bases_rejects_wrong_sizes(u39):
+    everything = (1 << 9) - 1
+    assert splits_into_bases(u39, everything, 3)
+    assert not splits_into_bases(u39, everything, 2)
+    assert not splits_into_bases(u39, everything >> 1, 3)
+    assert not splits_into_bases(u39, everything, -3)
+    assert splits_into_bases(u39, 0, 0)
+
+
+def test_splits_into_bases_on_the_full_odd_wheel_33():
+    # 1,089 elements in 33 spanning trees; the partition search gives up
+    wheel = builtin_instance("odd-wheel-33").instance.matroid
+    start = time.perf_counter()
+    assert splits_into_bases(wheel, (1 << wheel.ground.size) - 1, 33)
+    assert time.perf_counter() - start < 1.0
+
+
 # --- determinism & symmetry soundness --------------------------------------------------
 
 def test_solve_deterministic():
@@ -338,19 +416,23 @@ def test_monotone_row_relaxation():
 
 # --- solver == brute force on random instances -------------------------------------------
 
-def dimensions():
-    return st.sampled_from([(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)])
+SMALL_SHAPES = [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)]
 
 
 @st.composite
-def random_instances(draw):
-    n, k = draw(dimensions())
+def random_instances(draw, shapes=SMALL_SHAPES, loops=True):
+    n, k = draw(st.sampled_from(shapes))
     m = n * k
     v = draw(st.integers(2, min(n + 1, 4)))
-    edges = tuple(
-        (draw(st.integers(0, v - 1)), draw(st.integers(0, v - 1)))
-        for _ in range(m))
-    oracle = MatroidOracle(GraphicRep(v, edges))
+    edges = []
+    for _ in range(m):
+        u = draw(st.integers(0, v - 1))
+        if loops:
+            edges.append((u, draw(st.integers(0, v - 1))))
+        else:
+            w = draw(st.integers(0, v - 2))
+            edges.append((u, w + (w >= u)))
+    oracle = MatroidOracle(GraphicRep(v, tuple(edges)))
     taken: set[int] = set()
     rows = []
     for i in range(n):
@@ -366,6 +448,29 @@ def random_instances(draw):
 @settings(max_examples=120, deadline=None)
 def test_count_matches_brute_force(inst):
     assert count_solutions(inst) == brute_force_count(inst)
+
+
+def test_count_matches_brute_force_under_the_lookahead(monkeypatch):
+    # at 2 x 4 the solver runs the partition lookahead on entering column 1
+    # (a loop would end the solve before it); the lookahead ignores rows and
+    # symmetry, so it must keep counts exact, and the draws must make it
+    # answer both ways
+    answers = set()
+
+    def recorded(oracle, mask, parts):
+        answer = splits_into_bases(oracle, mask, parts)
+        answers.add(answer)
+        return answer
+
+    monkeypatch.setattr(rotagrid.grid, "splits_into_bases", recorded)
+
+    @given(random_instances([(2, 4)], loops=False))
+    @settings(max_examples=60, deadline=None)
+    def exact(inst):
+        assert count_solutions(inst) == brute_force_count(inst)
+
+    exact()
+    assert answers == {True, False}
 
 
 @given(random_instances())
@@ -391,9 +496,12 @@ def test_nodes_counted():
     ("k4-c2", "decide", True, 14),
     ("oxley-j", "decide", True, 27),
     ("mcdiarmid", "decide", True, 29),
-    ("odd-wheel-5", "decide", True, 596),
-    ("odd-wheel-7", "decide", True, 14_181),
-    ("odd-wheel-9", "decide", True, 413_814),
+    # without the partition lookahead: 596, 14,181 and 413,814 nodes, and
+    # odd-wheel-11 undecided after 3,000,000
+    ("odd-wheel-5", "decide", True, 117),
+    ("odd-wheel-7", "decide", True, 564),
+    ("odd-wheel-9", "decide", True, 2_415),
+    ("odd-wheel-11", "decide", True, 9_792),
     ("k4-c2", "count", True, 18),
     ("oxley-j", "count", True, 43),
     ("mcdiarmid", "count", True, 278),
@@ -419,8 +527,8 @@ def test_instance_deeper_than_the_recursion_limit():
 
 
 @pytest.mark.parametrize("budget,status,nodes", [
-    (596, "UNSAT", 596),
-    (595, "UNKNOWN", 595),
+    (117, "UNSAT", 117),
+    (116, "UNKNOWN", 116),
     (0, "UNKNOWN", 0),
 ])
 def test_node_budget(budget, status, nodes):
