@@ -263,9 +263,14 @@ def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
     Returns (new_dp, DescentStep) on success, or a CounterexampleCertificate
     when the block subproblem is unsolvable.
     """
+    return _step(inst, dp, mu(dp), k, solver)
+
+
+def _step(inst: RotaInstance, dp: DoublePartition, mu_before: int, k: int,
+          solver: Solver):
+    """`descent_step` given `mu_before`, the potential of `dp`."""
     if inst.n < 3 or k < 3:
         raise ValueError("descent requires n >= 3 and block size k >= 3")
-    mu_before = mu(dp)
     block = select_block(dp, k)   # raises when mu is zero
     sub = build_subinstance(inst, dp, block)
     report = solver(sub.instance)
@@ -312,13 +317,15 @@ def rota_solve(inst: RotaInstance, k: int = 3,
         raise ValueError(f"block size {k} exceeds n = {n}")
 
     dp = initial_double_partition(inst)
+    potential = mu(dp)
     steps: list[DescentStep] = []
-    while mu(dp) > 0:
-        outcome = descent_step(inst, dp, k, solver)
+    while potential > 0:
+        outcome = _step(inst, dp, potential, k, solver)
         if isinstance(outcome, CounterexampleCertificate):
             return DescentTrace(tuple(steps), None, outcome)
         dp, step = outcome
         steps.append(step)
+        potential = step.mu_after
 
     grid = grid_from_double_partition(inst, dp)
     return DescentTrace(tuple(steps), grid, None)

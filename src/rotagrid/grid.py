@@ -19,7 +19,10 @@ candidates.
 The lookahead ignores rows, so it is sound in count mode too.  The gate is
 fixed by the grid's shape: with fewer columns left the test costs more than
 the search it replaces, so solves with k <= 3 never run it, and at rank 1
-the loop check already decides it.
+the loop check already decides it.  Each failed split leaves a certificate
+(`_split`) that the solve keeps and tries before every later split, so a
+column refused for a reason already found costs a few bit counts; the
+answers, and so the nodes, are unchanged.
 Symmetry breaking is applied only in decision mode, where it is sound:
 column permutations act freely on solutions (row-0 entries are forced to
 increase across columns), and so do exchanges of parallel elements that
@@ -161,20 +164,32 @@ def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
     """True iff the elements of bitmask `mask` split into `parts` disjoint bases.
 
     Edmonds' matroid partition (Edmonds 1965; Cunningham 1986), polynomial
-    and exact.  Each element first joins the next part, cyclically, that
-    keeps it independent, so parallel elements spread at once.  Every element
-    left over is inserted along a shortest augmenting path, found breadth
-    first.  An edge x -> y, y in part j and x not, means part j - y + x is
+    and exact; see `_split`.
+    """
+    if parts < 0 or mask.bit_count() != oracle.rank_total * parts:
+        return False
+    return _split(oracle, mask, parts) is None
+
+
+def _split(oracle: MatroidOracle, mask: int, parts: int):
+    """None if `mask`, of exactly `parts` times the rank elements, splits into
+    `parts` disjoint bases; otherwise a certificate (R, rho), R a bitmask,
+    that it does not.
+
+    Each element first joins the next part, cyclically, that keeps it
+    independent, so parallel elements spread at once.  Every element left
+    over is inserted along a shortest augmenting path, found breadth first.
+    An edge x -> y, y in part j and x not, means part j - y + x is
     independent: y lies on x's circuit in part j.  A path ends at an element
     that some other part takes as it is.  Shortest paths keep every exchanged
-    part independent.  When no path exists the elements placed so far plus
-    the leftover have no partition into `parts` independent sets, so none
-    into bases.
+    part independent.  When no path exists, the set R that the search
+    reached lies in the span of its members in each part, and only the
+    leftover it started from is in no part, so |R| = parts * r(R) + 1 with
+    rho = r(R).  A set X with more than p * rho elements of R then has no
+    partition into p independent sets, so none into bases, for any p.
     """
     r = oracle.rank_total
     elems = _bits(mask)
-    if parts < 0 or len(elems) != r * parts:
-        return False
     members: list[list[int]] = [[] for _ in range(parts)]
     full = [tester_for(oracle) for _ in range(parts)]
     part_of = dict.fromkeys(elems, -1)
@@ -224,7 +239,7 @@ def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
                     queue.append(y)
                     tester.push(y)
         if sink is None:
-            return False
+            return _mask(queue), (len(queue) - 1) // parts
         # move x into `sink`, then each predecessor into the part x left
         changed = set()
         while x is not None:
@@ -239,7 +254,24 @@ def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
             tester = full[j] = tester_for(oracle)
             for f in members[j]:
                 tester.push(f)
-    return True
+    return None
+
+
+def _lookahead(oracle: MatroidOracle, mask: int, parts: int, certs: list) -> bool:
+    """`splits_into_bases` for a `mask` of `parts` times the rank elements.
+
+    `certs` holds the certificates of the solve's failed splits so far; a
+    mask that one of them refuses is answered without a new split, and a
+    new failure adds its certificate.
+    """
+    for x, rho in certs:
+        if (x & mask).bit_count() > parts * rho:
+            return False
+    cert = _split(oracle, mask, parts)
+    if cert is None:
+        return True
+    certs.append(cert)
+    return False
 
 
 def validate_instance(inst: GridInstance, check_basis_partition: bool = True) -> InstanceCheck:
@@ -343,6 +375,7 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
     # the partition lookahead's cells and part counts (module docstring)
     parts_at = [k - t // n if n > 1 and t >= n and t % n == 0
                 and k - t // n >= 3 else 0 for t in range(total)]
+    certs = [] if any(parts_at) else None   # failed splits, for `_lookahead`
     cells = [-1] * total
     rest = [0] * total       # rest[t]: untried candidates of cell t
     limit = -1 if node_budget is None else node_budget
@@ -373,7 +406,7 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
                 if above_at[t]:
                     cand &= -(2 << cells[t - n])
                 if (parts_at[t] and cand
-                        and not splits_into_bases(M, unused, parts_at[t])):
+                        and not _lookahead(M, unused, parts_at[t], certs)):
                     cand = 0
                 continue
             count += 1

@@ -385,6 +385,84 @@ def test_splits_into_bases_on_the_full_odd_wheel_33():
     assert time.perf_counter() - start < 1.0
 
 
+# --- the lookahead's certificate cache ------------------------------------------------
+
+@pytest.fixture
+def audited(monkeypatch):
+    """Check every lookahead answer against the certificate cache's contract.
+
+    Each certificate (X, rho) stored after a failed split into `parts` parts
+    must have |X| = parts * rho + 1 with rho = r(X) by the oracle's own rank,
+    and each query the cache refuses without a split must also be refused
+    by a fresh `splits_into_bases`.  Returns the tally of both events.
+    """
+    tally = {"stored": 0, "refused": 0}
+    lookahead, split = rotagrid.grid._lookahead, rotagrid.grid._split
+    splits = []
+
+    def counted(oracle, mask, parts):
+        splits.append(mask)
+        return split(oracle, mask, parts)
+
+    def checked(oracle, mask, parts, certs):
+        before = len(certs)
+        splits.clear()
+        answer = lookahead(oracle, mask, parts, certs)
+        fresh = len(splits)
+        if not fresh:
+            assert not answer
+            assert not splits_into_bases(oracle, mask, parts)
+            tally["refused"] += 1
+        assert len(certs) == before + (fresh == 1 and not answer)
+        for x, rho in certs[before:]:
+            assert x.bit_count() == parts * rho + 1
+            assert oracle.rank(e for e in range(x.bit_length())
+                               if x >> e & 1) == rho
+            tally["stored"] += 1
+        return answer
+
+    monkeypatch.setattr(rotagrid.grid, "_split", counted)
+    monkeypatch.setattr(rotagrid.grid, "_lookahead", checked)
+    return tally
+
+
+@pytest.mark.parametrize("name", ["odd-wheel-5", "odd-wheel-7", "odd-wheel-9"])
+def test_certificates_of_a_solve_are_sound(audited, name):
+    assert solve(builtin_instance(name).instance).status == "UNSAT"
+    assert audited["stored"] and audited["refused"]
+
+
+@st.composite
+def query_draws(draw):
+    """A `split_draws` matroid with a run of lookahead queries on it: part
+    counts up to the drawn one, each with that many times the rank
+    elements."""
+    oracle, chosen, parts = draw(split_draws())
+    r, m = oracle.rank_total, oracle.ground.size
+    queries = [(sum(1 << e for e in chosen), parts)]
+    for _ in range(draw(st.integers(1, 8))):
+        p = draw(st.integers(1, parts))
+        picked = draw(st.permutations(range(m)))[:p * r]
+        queries.append((sum(1 << e for e in picked), p))
+    return oracle, queries
+
+
+def test_certificates_refuse_only_what_does_not_split(audited):
+    # queries share one cache, as the columns of a solve do, and the cache
+    # must both store certificates and refuse queries with them
+    @given(query_draws())
+    @settings(max_examples=300, deadline=None)
+    def sound(case):
+        oracle, queries = case
+        certs = []
+        for mask, parts in queries:
+            assert (rotagrid.grid._lookahead(oracle, mask, parts, certs)
+                    == splits_into_bases(oracle, mask, parts))
+
+    sound()
+    assert audited["stored"] and audited["refused"]
+
+
 # --- determinism & symmetry soundness --------------------------------------------------
 
 def test_solve_deterministic():
@@ -456,13 +534,15 @@ def test_count_matches_brute_force_under_the_lookahead(monkeypatch):
     # symmetry, so it must keep counts exact, and the draws must make it
     # answer both ways
     answers = set()
+    lookahead = rotagrid.grid._lookahead
 
-    def recorded(oracle, mask, parts):
-        answer = splits_into_bases(oracle, mask, parts)
+    def recorded(oracle, mask, parts, certs):
+        # every answer, whether split afresh or refused by a certificate
+        answer = lookahead(oracle, mask, parts, certs)
         answers.add(answer)
         return answer
 
-    monkeypatch.setattr(rotagrid.grid, "splits_into_bases", recorded)
+    monkeypatch.setattr(rotagrid.grid, "_lookahead", recorded)
 
     @given(random_instances([(2, 4)], loops=False))
     @settings(max_examples=60, deadline=None)
@@ -502,6 +582,7 @@ def test_nodes_counted():
     ("odd-wheel-7", "decide", True, 564),
     ("odd-wheel-9", "decide", True, 2_415),
     ("odd-wheel-11", "decide", True, 9_792),
+    ("odd-wheel-13", "decide", True, 38_811),
     ("k4-c2", "count", True, 18),
     ("oxley-j", "count", True, 43),
     ("mcdiarmid", "count", True, 278),
