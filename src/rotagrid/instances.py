@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .grid import (NOT_REQUIRED, REQUIRED, GridInstance, find_basis_partition,
-                   solve)
+                   solve, splits_into_bases)
 from .matroid import BasesRep, GraphicRep, LinearRep, MatroidOracle
 
 SAT = "SAT"
@@ -215,14 +215,20 @@ def builtin_instance(name: str) -> NamedInstance:
 _GENERATOR_SEARCH_CAP = 200_000
 
 
-def random_linear_matroid(rank: int, m: int, seed: int,
-                          entry_bound: int = 2) -> MatroidOracle:
-    """Seeded random integer-entry rank-`rank` matroid on m elements.
+def _least_split(oracle: MatroidOracle, parts: int):
+    """The least partition of a full-rank draw into `parts` bases, or None.
 
-    Redraws until the full column set has the requested rank and the ground
-    set splits into m/rank disjoint bases, so every generated matroid is a
-    valid grid-instance carrier.  Same seed, same matroid.
+    Matroid partition decides whether a split exists; only on a yes does
+    the capped search run, for the least partition itself.  A draw with no
+    split, or one on which the search spends its cap, is redrawn.
     """
+    if not splits_into_bases(oracle, (1 << oracle.ground.size) - 1, parts):
+        return None
+    return find_basis_partition(oracle, parts, node_cap=_GENERATOR_SEARCH_CAP)
+
+
+def _linear_draw(rank: int, m: int, seed: int, entry_bound: int = 2):
+    """`random_linear_matroid`'s draw together with its least partition."""
     if m % rank != 0:
         raise ValueError("element count must be a multiple of the rank")
     rng = random.Random(seed)
@@ -233,9 +239,20 @@ def random_linear_matroid(rank: int, m: int, seed: int,
                                name=f"linear-r{rank}-m{m}-s{seed}")
         if oracle.rank_total != rank:
             continue
-        if find_basis_partition(oracle, m // rank,
-                                node_cap=_GENERATOR_SEARCH_CAP) is not None:
-            return oracle
+        parts = _least_split(oracle, m // rank)
+        if parts is not None:
+            return oracle, parts
+
+
+def random_linear_matroid(rank: int, m: int, seed: int,
+                          entry_bound: int = 2) -> MatroidOracle:
+    """Seeded random integer-entry rank-`rank` matroid on m elements.
+
+    Redraws until the full column set has the requested rank and the ground
+    set splits into m/rank disjoint bases, so every generated matroid is a
+    valid grid-instance carrier.  Same seed, same matroid.
+    """
+    return _linear_draw(rank, m, seed, entry_bound)[0]
 
 
 def random_graphic_matroid(vertices: int, m: int, seed: int) -> MatroidOracle:
@@ -256,19 +273,16 @@ def random_graphic_matroid(vertices: int, m: int, seed: int) -> MatroidOracle:
                                name=f"graphic-v{vertices}-m{m}-s{seed}")
         if oracle.rank_total != rank:
             continue
-        if find_basis_partition(oracle, m // rank,
-                                node_cap=_GENERATOR_SEARCH_CAP) is not None:
+        if _least_split(oracle, m // rank) is not None:
             return oracle
 
 
 def random_rota_instance(n: int, seed: int):
-    """Seeded rank-n Rota instance over a random linear matroid on n^2 points."""
+    """Seeded rank-n Rota instance over a random linear matroid on n^2 points,
+    its rows the least partition into n bases."""
     from .descent import RotaInstance
 
-    oracle = random_linear_matroid(n, n * n, seed)
-    parts = find_basis_partition(oracle, n)
-    assert parts is not None   # generator guarantees a split exists
-    return RotaInstance(oracle, parts)
+    return RotaInstance(*_linear_draw(n, n * n, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +438,7 @@ def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepRep
         raise ValueError(f"sweep needs rank n >= 1 on n*k <= 12 elements, "
                          f"got rank {n} on {m}")
     k = m // n
-    if find_basis_partition(oracle, k) is None:
+    if not splits_into_bases(oracle, (1 << m) - 1, k):
         raise ValueError(f"sweep needs a disjoint union of {k} bases")
 
     table = oracle.build_rank_table()

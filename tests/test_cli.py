@@ -2,15 +2,18 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from rotagrid import (RotaInstance, builtin_instance, parse_grid_instance,
-                      rota_solve, validate_grid)
+from rotagrid import (LinearRep, MatroidOracle, RotaInstance,
+                      builtin_instance, parse_grid_instance, rota_solve,
+                      serialize_matroid, validate_grid)
 from rotagrid.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +109,19 @@ def test_rota_from_grid_instance(tmp_path):
 
 def test_rota_rejects_non_rota_builtin():
     assert run(["rota", "--matroid", "k4-c2"]) == 2
+
+
+def test_rota_rejects_a_matroid_without_a_split_at_once(tmp_path, capsys):
+    # rank 5 on 25 elements with no split into five bases; the backtracking
+    # search spent 28 s and a 2,000,000-node cap proving that
+    rng = random.Random(171)
+    cols = tuple(tuple(Fraction(rng.randint(-1, 1)) for _ in range(5))
+                 for _ in range(25))
+    path = tmp_path / "nosplit.matroid"
+    path.write_text(serialize_matroid(MatroidOracle(LinearRep(5, cols))))
+    assert run(["rota", "--matroid", str(path)]) == 2
+    assert ("matroid does not split into rank-many disjoint bases"
+            in capsys.readouterr().err)
 
 
 def test_descent_step_reports_mu_drop(tmp_path):

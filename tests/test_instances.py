@@ -1,5 +1,6 @@
 """Named instances, catalog generators, and the row-family enumerator."""
 
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -8,14 +9,16 @@ from hypothesis import strategies as st
 
 from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, GridInstance,
                       MatroidOracle, brute_force_count, builtin_instance,
-                      complete_graph_matroid, count_solutions, enumerate_bases,
-                      enumerate_row_families, find_basis_partition,
-                      is_disjoint_union_of_bases, k4_c2_instance,
-                      mcdiarmid_instance, odd_wheel_instance, oxley_j_instance,
-                      random_graphic_matroid, random_linear_matroid,
-                      random_rota_instance, solve, u39_instance,
-                      uniform_matroid, validate_instance, verify_basis_axioms,
+                      c3_catalog, complete_graph_matroid, count_solutions,
+                      enumerate_bases, enumerate_row_families,
+                      find_basis_partition, is_disjoint_union_of_bases,
+                      k4_c2_instance, mcdiarmid_instance, odd_wheel_instance,
+                      oxley_j_instance, random_graphic_matroid,
+                      random_linear_matroid, random_rota_instance,
+                      serialize_matroid, solve, u39_instance, uniform_matroid,
+                      validate_instance, verify_basis_axioms,
                       verify_c3_for_matroid)
+from rotagrid import instances
 from rotagrid.grid import SolveReport
 from rotagrid.instances import (_canonical_maximal_families, _count_families,
                                 _sweep_exhaustive)
@@ -178,6 +181,67 @@ def test_random_rota_instance_valid():
     inst.check()
 
 
+def _digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+# sha256 over serialize_matroid(inst.matroid) + repr(sorted rows), seeds 0..24
+ROTA_DRAWS = {
+    3: "673330c5843dc152b50e92e42a2a817c8cc22e15a77866d08d75b71473c39698",
+    4: "8aca786ee32b440c6595b92ce450bb103158d3763b96d9b3a0494bc1307b7f62",
+    5: "83b23a6df88f17451d4b4f3ea711d308ed5d16364452f7d5fbd109dd98e337ea",
+    6: "da1d561477393c90104bd05fafb45e860c5bac8ef9784d0638ce4b727e552fc1",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ROTA_DRAWS))
+def test_random_rota_instance_draws_are_pinned(n):
+    """The columns and rows of every seed's draw; a change to the redraw
+    test or to the partition it keeps moves the digest."""
+    draws = [random_rota_instance(n, s) for s in range(25)]
+    assert _digest(serialize_matroid(inst.matroid)
+                   + repr([sorted(b) for b in inst.bases])
+                   for inst in draws) == ROTA_DRAWS[n]
+
+
+def test_c3_catalog_draws_are_pinned():
+    assert _digest(serialize_matroid(o) for o in c3_catalog(0)) == (
+        "9b34469ee9fa9e3ffda242567a80529b0ea442aea83290fcf10c9e9a6f58d0c3")
+
+
+def test_rota_instance_searches_once_and_only_after_a_split(monkeypatch):
+    """Seed 20's first n=4 draw has full rank and no split: matroid partition
+    rejects it, and the least-partition search runs once, on the kept draw."""
+    events = []
+    split, search = instances.splits_into_bases, instances.find_basis_partition
+
+    def splits(oracle, mask, parts):
+        events.append(("split", split(oracle, mask, parts)))
+        return events[-1][1]
+
+    def least(oracle, parts, node_cap=None):
+        assert node_cap == instances._GENERATOR_SEARCH_CAP
+        events.append(("search", oracle))
+        return search(oracle, parts, node_cap=node_cap)
+
+    monkeypatch.setattr(instances, "splits_into_bases", splits)
+    monkeypatch.setattr(instances, "find_basis_partition", least)
+    inst = random_rota_instance(4, 20)
+    searched = [e for e in events if e[0] == "search"]
+    assert events[0] == ("split", False)
+    assert searched == [("search", inst.matroid)] == events[-1:]
+    assert events[-2] == ("split", True)
+
+
+def test_rota_instance_rows_are_the_least_partition():
+    for n, seed in ((3, 0), (4, 14), (4, 20), (5, 3), (6, 7)):
+        inst = random_rota_instance(n, seed)
+        assert inst.bases == find_basis_partition(inst.matroid, n)
+
+
 def test_generated_basis_families_pass_exchange():
     for seed in range(3):
         m = random_graphic_matroid(4, 9, seed=seed)
@@ -264,6 +328,15 @@ def test_sweep_rejects_matroid_without_basis_split():
     # rank 3 on nine elements, but a loop lies in no basis
     with pytest.raises(ValueError):
         verify_c3_for_matroid(LOOPED)
+
+
+def test_sweep_rejects_a_parallel_class_wider_than_k():
+    # rank 3 on nine edges, four of them parallel: a basis holds at most one
+    four_parallel = MatroidOracle(GraphicRep(4, (
+        (0, 1), (0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))))
+    assert four_parallel.rank_total == 3
+    with pytest.raises(ValueError, match="disjoint union of 3 bases"):
+        verify_c3_for_matroid(four_parallel)
 
 
 def test_sweep_rejects_wrong_rank():
