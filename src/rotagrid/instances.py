@@ -232,10 +232,14 @@ def _linear_draw(rank: int, m: int, seed: int, entry_bound: int = 2):
     if m % rank != 0:
         raise ValueError("element count must be a multiple of the rank")
     rng = random.Random(seed)
+    # one shared Fraction per entry value; the integer columns themselves
+    # are what the oracle would scale the Fraction columns back to
+    exact = {v: Fraction(v) for v in range(-entry_bound, entry_bound + 1)}
     while True:
-        cols = tuple(tuple(Fraction(rng.randint(-entry_bound, entry_bound))
-                           for _ in range(rank)) for _ in range(m))
-        oracle = MatroidOracle(LinearRep(rank, cols),
+        ints = tuple(tuple([rng.randint(-entry_bound, entry_bound)
+                            for _ in range(rank)]) for _ in range(m))
+        cols = tuple(tuple([exact[v] for v in col]) for col in ints)
+        oracle = MatroidOracle(LinearRep(rank, cols), _columns=ints,
                                name=f"linear-r{rank}-m{m}-s{seed}")
         if oracle.rank_total != rank:
             continue

@@ -280,7 +280,10 @@ class MatroidOracle:
 
         One depth-first walk adds elements in increasing order.  The tester
         always holds a basis of the current mask, so rank(mask + e) is
-        rank(mask) plus whether e can still be added.
+        rank(mask) plus whether e can still be added.  A mask that reaches
+        the ceiling is a full stack, spanning tree or basis that no tester
+        can grow, so its whole subtree -- the masks sub + j * 2**(e+1) --
+        is filled with the ceiling in one slice.
         """
         if self._table is None:
             m = self.ground.size
@@ -288,12 +291,17 @@ class MatroidOracle:
                 raise ValueError("rank table limited to 12 elements")
             table = [0] * (1 << m)
             tester = _rep_tester(self)
+            ceiling = self._ceiling
 
             def extend(mask: int, start: int) -> None:
                 for e in range(start, m):
                     sub = mask | 1 << e
                     grows = tester.can_add(e)
-                    table[sub] = table[mask] + grows
+                    rank = table[mask] + grows
+                    if rank == ceiling:
+                        table[sub::2 << e] = [rank] * (1 << (m - e - 1))
+                        continue
+                    table[sub] = rank
                     if grows:
                         tester.push(e)
                     extend(sub, e + 1)
@@ -445,7 +453,10 @@ class TableTester:
         return self.table[self.mask | (1 << e)] == self.size + 1
 
     def push(self, e: int) -> None:
-        self.mask |= 1 << e
+        mask = self.mask | 1 << e
+        if self.table[mask] != self.size + 1:
+            raise ValueError(f"element {e} is dependent on the current set")
+        self.mask = mask
         self.size += 1
 
     def pop(self, e: int) -> None:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, GridInstance,
-                      MatroidOracle, brute_force_count, builtin_instance,
-                      c3_catalog, complete_graph_matroid, count_solutions,
-                      enumerate_bases, enumerate_row_families,
+                      LinearRep, MatroidOracle, brute_force_count,
+                      builtin_instance, c3_catalog, complete_graph_matroid,
+                      count_solutions, enumerate_bases, enumerate_row_families,
                       find_basis_partition, is_disjoint_union_of_bases,
                       k4_c2_instance, mcdiarmid_instance, odd_wheel_instance,
                       oxley_j_instance, random_graphic_matroid,
@@ -22,6 +22,7 @@ from rotagrid import instances
 from rotagrid.grid import SolveReport
 from rotagrid.instances import (_canonical_maximal_families, _count_families,
                                 _sweep_exhaustive)
+from rotagrid.matroid import _integer_column
 
 J_ROW_VECTORS = {
     0: {(-2, 3, 0, 1), (0, 0, 1, 1)},
@@ -210,6 +211,19 @@ def test_random_rota_instance_draws_are_pinned(n):
 def test_c3_catalog_draws_are_pinned():
     assert _digest(serialize_matroid(o) for o in c3_catalog(0)) == (
         "9b34469ee9fa9e3ffda242567a80529b0ea442aea83290fcf10c9e9a6f58d0c3")
+
+
+def test_linear_draws_hand_the_oracle_their_integer_columns():
+    """A linear draw passes its integer entries as the oracle's columns; they
+    must be exactly what scaling its Fraction columns would give."""
+    oracles = [random_rota_instance(n, s).matroid
+               for n in (3, 4, 5, 6) for s in range(25)]
+    oracles += [o for o in c3_catalog(0) if isinstance(o.rep, LinearRep)]
+    assert len(oracles) == 125
+    for oracle in oracles:
+        assert oracle._columns == tuple(_integer_column(c)
+                                        for c in oracle.rep.columns)
+        assert all(type(x) is int for col in oracle._columns for x in col)
 
 
 def test_rota_instance_searches_once_and_only_after_a_split(monkeypatch):

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from rotagrid import (BasesRep, GraphicRep, GroundSet, LinearRep,
                       MatroidOracle, enumerate_bases, find_exchange_violation,
-                      is_disjoint_union_of_bases, rank_axiom_violations,
-                      uniform_matroid, verify_basis_axioms)
+                      is_disjoint_union_of_bases, random_linear_matroid,
+                      rank_axiom_violations, uniform_matroid,
+                      verify_basis_axioms)
+from rotagrid import matroid as matroid_module
 from rotagrid.matroid import TABLE_SIZE_CAP, LinearTester, _rep_tester
 from rotagrid.matroid import tester_for as make_tester
 
@@ -88,6 +90,28 @@ def reference_parallel_classes(oracle):
         placed.update(group)
         groups.append(group)
     return tuple(groups)
+
+
+def reference_rank_table(oracle):
+    """The plain depth-first walk: one can_add for each of the 2^m - 1
+    non-empty masks, with no shortcut at the ceiling."""
+    m = oracle.ground.size
+    table = [0] * (1 << m)
+    tester = _rep_tester(oracle)
+
+    def extend(mask, start):
+        for e in range(start, m):
+            sub = mask | 1 << e
+            grows = tester.can_add(e)
+            table[sub] = table[mask] + grows
+            if grows:
+                tester.push(e)
+            extend(sub, e + 1)
+            if grows:
+                tester.pop(e)
+
+    extend(0, 0)
+    return table
 
 
 # --- rank ------------------------------------------------------------------
@@ -280,6 +304,71 @@ def test_axiom_audit_flags_non_matroid():
     assert rank_axiom_violations(broken) != []
 
 
+class CountingTester:
+    """Wraps a tester and counts its can_add calls."""
+
+    def __init__(self, tester):
+        self.tester = tester
+        self.calls = 0
+
+    def can_add(self, e):
+        self.calls += 1
+        return self.tester.can_add(e)
+
+    def push(self, e):
+        self.tester.push(e)
+
+    def pop(self, e):
+        self.tester.pop(e)
+
+
+def test_rank_table_fills_full_rank_subtrees(monkeypatch):
+    # the plain walk makes 511 and 4,095 calls on these
+    oracles = [uniform_matroid(3, 9), random_linear_matroid(4, 12, 0)]
+    rep_tester = matroid_module._rep_tester
+    made = []
+
+    def counting(oracle):
+        made.append(CountingTester(rep_tester(oracle)))
+        return made[-1]
+
+    monkeypatch.setattr(matroid_module, "_rep_tester", counting)
+    for oracle in oracles:
+        oracle.build_rank_table()
+    assert [t.calls for t in made] == [129, 813]
+
+
+@st.composite
+def table_oracles(draw):
+    """Linear and graphic oracles, either as drawn or with every rank held
+    below the ceiling (a zero coordinate appended, an isolated vertex
+    added), and basis families of equal-size sets on at most 8 elements
+    that may fail the exchange axiom."""
+    kind = draw(st.sampled_from(["linear", "graphic", "bases"]))
+    below = draw(st.integers(0, 1))
+    if kind == "linear":
+        cols = draw(linear_columns(max_size=8))
+        return MatroidOracle(LinearRep.from_columns(
+            [c + (0,) * below for c in cols]))
+    if kind == "graphic":
+        rep = draw(graphic_reps)
+        return MatroidOracle(GraphicRep(rep.vertices + below, rep.edges))
+    m = draw(st.integers(1, 8))
+    r = draw(st.integers(0, m))
+    family = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=r,
+                                   max_size=r), min_size=1, max_size=12))
+    return MatroidOracle(BasesRep.from_sets(r, family), ground_size=m)
+
+
+@given(table_oracles())
+@settings(max_examples=150, deadline=None)
+def test_rank_table_fill_matches_plain_walk(oracle):
+    reference = MatroidOracle(oracle.rep, ground_size=oracle.ground.size)
+    reference._table = reference_rank_table(reference)
+    assert oracle.build_rank_table() == reference._table
+    assert rank_axiom_violations(oracle) == rank_axiom_violations(reference)
+
+
 def test_representation_equivalence(oxley_j):
     rebuilt = MatroidOracle(
         BasesRep.from_sets(4, enumerate_bases(oxley_j)), ground_size=8)
@@ -449,10 +538,10 @@ def test_linear_tester_scripts_match_minor_rank(cols, script):
     m = len(cols)
     greedy = MatroidOracle(rep)            # never builds a table
     solver_side = MatroidOracle(rep)
-    linear = [LinearTester(rep.columns),    # the layer probe's direct call
-              _rep_tester(solver_side)]     # over the oracle's scaled columns
-    # table-backed up to TABLE_SIZE_CAP, a LinearTester past it
-    testers = linear + [make_tester(solver_side)]
+    testers = [LinearTester(rep.columns),   # the layer probe's direct call
+               _rep_tester(solver_side),    # over the oracle's scaled columns
+               # table-backed up to TABLE_SIZE_CAP, a LinearTester past it
+               make_tester(solver_side)]
     assert isinstance(testers[-1], LinearTester) == (m > TABLE_SIZE_CAP)
     current: list[int] = []
     verdicts: dict[frozenset, bool] = {}
@@ -478,7 +567,7 @@ def test_linear_tester_scripts_match_minor_rank(cols, script):
             current.append(e)
             assert greedy.rank(current) == len(current)
         else:
-            for t in linear:
+            for t in testers:
                 with pytest.raises(ValueError):
                     t.push(e)
 
