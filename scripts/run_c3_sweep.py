@@ -3,8 +3,10 @@
 
 Reproduces (on generated matroids) the exhaustive three-column check: for
 each catalog matroid, every ordered triple of disjoint independent row sets
-of size <= 3 is solved; an unsolvable family would refute three-column grid
-completion and is printed verbatim.
+of size <= 3 is decided.  The sweep solves one maximal triple for each
+orbit under row order and clone swaps, which decides every triple (see
+`verify_c3_for_matroid`); an unsolvable family would refute three-column
+grid completion and is printed verbatim.
 """
 
 import argparse

@@ -7,9 +7,10 @@ plus the dependent-row family: McDiarmid's K4-with-doubled-spokes
 multigraph and, generally, odd wheels with duplicated spokes.
 
 The sweep decides every admissible row family over a rank-n matroid on
-nk <= 12 elements by solving the maximal ones up to row order, and reports
-unsolvable ones verbatim: at k = 3 a counterexample to three-column grid
-completion, at k = 2 the known obstructions of M(K4) and J.
+nk <= 12 elements by solving the maximal ones up to row order and up to
+swaps of clones, and reports unsolvable ones verbatim: at k = 3 a
+counterexample to three-column grid completion, at k = 2 the known
+obstructions of M(K4) and J.
 """
 
 from __future__ import annotations
@@ -403,6 +404,50 @@ def _canonical_maximal_families(table: Sequence[int], indep: Sequence[int],
     yield from extend(0, 0, 0, ())
 
 
+def _clone_classes(table: Sequence[int], m: int) -> list[list[int]]:
+    """The clone classes of the elements, each in increasing order.
+
+    Elements e, f are clones when r(S + e) = r(S + f) for every S avoiding
+    both, that is, when swapping them keeps every rank (Geelen, Oxley,
+    Vertigan and Whittle 2002).  A conjugate of an automorphism is one, so
+    (e g) = (e f)(f g)(e f) makes the relation transitive, and each element
+    is compared with the least member of each class found so far.
+    """
+    full = (1 << m) - 1
+
+    def clones(e: int, f: int) -> bool:
+        be, bf = 1 << e, 1 << f
+        rest = full & ~(be | bf)
+        s = 0                   # the subsets of rest, in increasing order
+        while table[s | be] == table[s | bf]:
+            s = (s - rest) & rest
+            if not s:
+                return True
+        return False
+
+    classes: list[list[int]] = []
+    for e in range(m):
+        cls = next((c for c in classes if clones(c[0], e)), None)
+        if cls is None:
+            classes.append([e])
+        else:
+            cls.append(e)
+    return classes
+
+
+def _clone_canon(classes: Sequence[Sequence[int]], sets: Sequence[int],
+                 ) -> dict[int, int]:
+    """Each set mapped to the one that takes, from every clone class C,
+    its |set & C| least members: equal images mean a permutation inside
+    the classes maps one set onto the other."""
+    masks = [sum(1 << e for e in cls) for cls in classes]
+    firsts = [[sum(1 << e for e in cls[:j]) for j in range(len(cls) + 1)]
+              for cls in classes]
+    return {s: sum(first[bin(s & mask).count("1")]
+                   for mask, first in zip(masks, firsts))
+            for s in sets}
+
+
 def _sweep_exhaustive(oracle: MatroidOracle, n: int, k: int) -> SweepReport:
     families = sat = unsat = 0
     examples = []
@@ -429,13 +474,16 @@ def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepRep
     three-column grid completion.
 
     Only the maximal families with row masks in nondecreasing order are
-    solved.  That is exact: a grid for rows I'_i containing I_i is a grid for
-    the rows I_i, and permuting the rows of a grid gives a grid for the
-    permuted rows, so every family is solvable once each of these is.  The
-    family total is counted without enumerating the families.  Should a
-    maximal family be unsolvable, every family is enumerated and solved,
-    which yields the exact `sat`, `unsat` and examples.  `processes` is accepted
-    for compatibility and ignored: the sweep runs in the calling process.
+    solved, and of those only the first of each clone orbit.  That is exact:
+    a grid for rows I'_i containing I_i is a grid for the rows I_i,
+    permuting the rows of a grid gives a grid for the permuted rows, and a
+    permutation inside the clone classes is an automorphism, so it maps
+    grids to grids.  Two families with the same multiset of rows, each row
+    read as its count in every clone class, are one orbit.  The family total
+    is counted without enumerating the families.  Should a solved family be
+    unsolvable, every family is enumerated and solved, which yields the
+    exact `sat`, `unsat` and examples.  `processes` is accepted for
+    compatibility and ignored: the sweep runs in the calling process.
     """
     m, n = oracle.ground.size, oracle.rank_total
     if n < 1 or m % n or m > 12:
@@ -447,7 +495,13 @@ def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepRep
 
     table = oracle.build_rank_table()
     indep = [s for s in range(1 << m) if table[s] == bin(s).count("1") <= k]
+    canon = _clone_canon(_clone_classes(table, m), indep)
+    seen = set()
     for masks in _canonical_maximal_families(table, indep, n, k, m):
+        key = tuple(sorted(canon[a] for a in masks))
+        if key in seen:
+            continue
+        seen.add(key)
         inst = GridInstance(oracle, n, k, _row_sets(masks, m), REQUIRED)
         if solve(inst).status != SAT:
             return _sweep_exhaustive(oracle, n, k)

@@ -346,6 +346,10 @@ def find_exchange_violation(family: Iterable[Iterable[int]]):
     """First failure of the basis-exchange axiom, or None.
 
     Returns (A, x, B) such that no y in B \\ A makes (A - {x}) + {y} a member.
+    Members are bitmasks, scanned as pairs (A, B) in the order of their
+    sorted elements.  For each x in A, `swaps` keeps the mask of x and of
+    every y outside A for which (A - {x}) + {y} is a member, so the pair
+    fails at x exactly when B meets none of them.
     """
     fam = {frozenset(b) for b in family}
     if not fam:
@@ -354,12 +358,19 @@ def find_exchange_violation(family: Iterable[Iterable[int]]):
     if len(sizes) != 1:
         raise ValueError("basis family members must share cardinality")
     ordered = sorted(fam, key=sorted)
-    for a in ordered:
-        for b in ordered:
-            diff = a - b
-            for x in diff:
-                rest = a - {x}
-                if not any(rest | {y} in fam for y in b - a):
+    masks = [sum(1 << e for e in b) for b in ordered]
+    members = set(masks)
+    ground = range(max(max(b, default=0) for b in ordered) + 1)
+    for a, ma in zip(ordered, masks):
+        swaps = []
+        for x in sorted(a):
+            rest = ma ^ 1 << x
+            swaps.append((x, sum(1 << y for y in ground
+                                 if not rest >> y & 1
+                                 and rest | 1 << y in members)))
+        for b, mb in zip(ordered, masks):
+            for x, z in swaps:
+                if not z & mb:
                     return (a, x, b)
     return None
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, GridInstance,
-                      LinearRep, MatroidOracle, brute_force_count,
+from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
+                      GridInstance, LinearRep, MatroidOracle, brute_force_count,
                       builtin_instance, c3_catalog, complete_graph_matroid,
                       count_solutions, enumerate_bases, enumerate_row_families,
                       find_basis_partition, is_disjoint_union_of_bases,
@@ -20,7 +20,8 @@ from rotagrid import (NOT_REQUIRED, REQUIRED, GraphicRep, GridInstance,
                       verify_c3_for_matroid)
 from rotagrid import instances
 from rotagrid.grid import SolveReport
-from rotagrid.instances import (_canonical_maximal_families, _count_families,
+from rotagrid.instances import (_canonical_maximal_families, _clone_canon,
+                                _clone_classes, _count_families, _row_sets,
                                 _sweep_exhaustive)
 from rotagrid.matroid import _integer_column
 
@@ -450,15 +451,22 @@ def test_sweep_counts_and_maximal_families_match_enumeration(key):
     assert len(set(generated)) == len(generated)
 
 
+def _clone_key(classes, fam):
+    """A family's rows as their counts in each clone class, up to row order."""
+    return tuple(sorted(tuple(len(row & set(cls)) for cls in classes)
+                        for row in fam))
+
+
 @pytest.mark.parametrize("key", sorted(set(SWEEP_MATROIDS) - {"k4"}))
 def test_sweep_solves_only_the_maximal_families(key, monkeypatch):
-    """On an all-SAT matroid the sweep solves each maximal family once."""
+    """On an all-SAT matroid the sweep solves canonical maximal families
+    only, one for each clone key, and covers every maximal family's key."""
     import rotagrid.instances as instances
     oracle = SWEEP_MATROIDS[key]()
     (n, k, m), table, indep = _shape_and_sets(oracle)
-    maximal = [tuple(frozenset(e for e in range(m) if mask >> e & 1)
-                     for mask in masks)
+    maximal = [_row_sets(masks, m)
                for masks in _canonical_maximal_families(table, indep, n, k, m)]
+    classes = _clone_classes(table, m)
     real_solve = instances.solve
     solved = []
 
@@ -468,7 +476,103 @@ def test_sweep_solves_only_the_maximal_families(key, monkeypatch):
 
     monkeypatch.setattr(instances, "solve", recording_solve)
     assert verify_c3_for_matroid(oracle).unsat == 0
-    assert solved == maximal
+    assert set(solved) <= set(maximal)
+    keys = [_clone_key(classes, fam) for fam in solved]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {_clone_key(classes, fam) for fam in maximal}
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_sweep_verdicts_are_constant_on_clone_orbits(seed):
+    """Graphic rank-4 matroids with clones and UNSAT families at (4, 2):
+    every canonical maximal family with the same clone key has one verdict."""
+    oracle = random_graphic_matroid(5, 8, seed)
+    (n, k, m), table, indep = _shape_and_sets(oracle)
+    assert (n, k) == (4, 2)
+    canon = _clone_canon(_clone_classes(table, m), indep)
+    verdicts: dict = {}
+    families = 0
+    for masks in _canonical_maximal_families(table, indep, n, k, m):
+        inst = GridInstance(oracle, n, k, _row_sets(masks, m), REQUIRED)
+        key = tuple(sorted(canon[a] for a in masks))
+        verdicts.setdefault(key, set()).add(solve(inst).status)
+        families += 1
+    assert len(verdicts) < families
+    assert all(len(v) == 1 for v in verdicts.values())
+    assert set().union(*verdicts.values()) == {"SAT", "UNSAT"}
+
+
+@st.composite
+def clone_matroids(draw):
+    """Linear, graphic and basis-family matroids on at most 9 elements,
+    extended by parallel copies, loops and (graphic, basis family) series
+    elements, so that most have clone classes of two or more."""
+    kind = draw(st.sampled_from(["linear", "graphic", "bases"]))
+    if kind == "linear":
+        d = draw(st.integers(1, 3))
+        cols = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                             min_size=1, max_size=5))
+        for _ in range(draw(st.integers(0, 3))):
+            factor = draw(st.sampled_from([0, 1, -1, 2]))
+            cols.append(tuple(factor * x for x in draw(st.sampled_from(cols))))
+        return MatroidOracle(LinearRep.from_columns(cols))
+    v = draw(st.integers(2, 4))
+    edges = draw(st.lists(st.tuples(st.integers(0, v - 1),
+                                    st.integers(0, v - 1)),
+                          min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(edges) - 1))
+        u, w = edges[i]
+        if draw(st.booleans()):
+            edges.append((u, w))
+        else:                 # subdivide edge i through a new vertex
+            edges[i] = (u, v)
+            edges.append((v, w))
+            v += 1
+    oracle = MatroidOracle(GraphicRep(v, tuple(edges)))
+    if kind == "graphic":
+        return oracle
+    m, bases = oracle.ground.size, set(enumerate_bases(oracle))
+    for _ in range(draw(st.integers(0, 2))):
+        e = draw(st.integers(0, m - 1))
+        if draw(st.booleans()):   # f parallel to e
+            bases |= {b - {e} | {m} for b in bases if e in b}
+        else:                     # f in series with e
+            bases = ({b | {m} for b in bases}
+                     | {b | {e} for b in bases if e not in b})
+        m += 1
+    return MatroidOracle(BasesRep.from_sets(len(next(iter(bases))), bases),
+                         ground_size=m)
+
+
+def _swapped(s, e, f):
+    """The mask s with elements e and f exchanged."""
+    if (s >> e ^ s >> f) & 1:
+        return s ^ (1 << e | 1 << f)
+    return s
+
+
+@given(clone_matroids())
+@settings(max_examples=150, deadline=None)
+def test_clone_classes_match_brute_force_swaps(oracle):
+    """Swapping two members of a class keeps every rank; swapping two
+    classes' least members changes some rank."""
+    m = oracle.ground.size
+    classes = _clone_classes(oracle.build_rank_table(), m)
+    plain = MatroidOracle(oracle.rep, ground_size=m)     # no table
+    rank = [plain.rank([e for e in range(m) if s >> e & 1])
+            for s in range(1 << m)]
+
+    def keeps_ranks(e, f):
+        return all(rank[_swapped(s, e, f)] == rank[s] for s in range(1 << m))
+
+    assert sorted(e for cls in classes for e in cls) == list(range(m))
+    assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+    for cls in classes:
+        assert cls == sorted(cls)
+        assert all(keeps_ranks(e, f) for e, f in combinations(cls, 2))
+    for c, d in combinations(classes, 2):
+        assert not keeps_ranks(c[0], d[0])
 
 
 @pytest.mark.parametrize("key", ["u39", "graphic-s500"] + SMALL_SWEEP_MATROIDS)

@@ -114,6 +114,20 @@ def reference_rank_table(oracle):
     return table
 
 
+def reference_exchange_violation(family):
+    """The frozenset scan: pairs (A, B) in the order of their sorted
+    elements, and the first x in A - B that nothing in B - A replaces."""
+    fam = {frozenset(b) for b in family}
+    ordered = sorted(fam, key=sorted)
+    for a in ordered:
+        for b in ordered:
+            for x in a - b:
+                rest = a - {x}
+                if not any(rest | {y} in fam for y in b - a):
+                    return (a, x, b)
+    return None
+
+
 # --- rank ------------------------------------------------------------------
 
 def test_rank_uniform_capped(u24):
@@ -250,6 +264,45 @@ def test_exchange_rejects_empty_family():
 def test_exchange_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         verify_basis_axioms([{0, 1}, {2}])
+
+
+@st.composite
+def basis_families(draw):
+    """Basis families of small linear and graphic matroids, the same with one
+    member dropped, and arbitrary families of equal-size sets."""
+    kind = draw(st.sampled_from(["matroid", "dropped", "arbitrary"]))
+    if kind == "arbitrary":
+        m = draw(st.integers(1, 8))
+        r = draw(st.integers(0, m))
+        members = st.frozensets(st.integers(0, m - 1), min_size=r,
+                                max_size=r)
+        return draw(st.lists(members, min_size=1, max_size=14))
+    rep = draw(st.one_of(
+        linear_columns(max_size=8).map(LinearRep.from_columns), graphic_reps))
+    family = sorted(enumerate_bases(MatroidOracle(rep)), key=sorted)
+    if kind == "dropped" and len(family) > 1:
+        del family[draw(st.integers(0, len(family) - 1))]
+    return family
+
+
+@given(basis_families())
+@settings(max_examples=200, deadline=None)
+def test_exchange_bitmask_scan_matches_frozenset_scan(family):
+    fam = set(family)
+    found = find_exchange_violation(family)
+    expected = reference_exchange_violation(family)
+    assert (found is None) == (expected is None)
+    if found is None:
+        return
+    # the same scan order finds the same pair; x may be any failing element
+    assert found[::2] == expected[::2]
+    for a, x, b in (found, expected):
+        assert a in fam and b in fam and x in a - b
+        assert not any((a - {x}) | {y} in fam for y in b - a)
+
+
+def test_exchange_accepts_u412():
+    assert find_exchange_violation(uniform_matroid(4, 12).rep.bases) is None
 
 
 # --- disjoint union of bases --------------------------------------------------
