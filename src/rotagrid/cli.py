@@ -20,7 +20,7 @@ from .descent import (CounterexampleCertificate, RotaInstance, descent_step,
                       initial_double_partition, mu, rota_solve)
 from .formats import (instance_digest, matroid_digest, parse_grid_instance,
                       parse_matroid, write_instance_files)
-from .grid import (GridInstance, find_basis_partition, solve, splits_into_bases,
+from .grid import (GridInstance, find_basis_partition, solve,
                    validate_instance)
 from .instances import (builtin_instance, builtin_names, c3_catalog,
                         verify_c3_for_matroid)
@@ -91,9 +91,10 @@ def _rota_instance_from_args(args) -> RotaInstance:
     if oracle.ground.size != n * n:
         raise CliError(f"rota needs rank^2 elements; matroid has rank {n} "
                        f"on {oracle.ground.size} elements")
-    if not splits_into_bases(oracle, (1 << oracle.ground.size) - 1, n):
+    parts = find_basis_partition(oracle, n)
+    if parts is None:
         raise CliError("matroid does not split into rank-many disjoint bases")
-    return RotaInstance(oracle, find_basis_partition(oracle, n))
+    return RotaInstance(oracle, parts)
 
 
 def _load_rota_instance(args) -> tuple[RotaInstance, str]:

@@ -2,13 +2,13 @@
 
 An instance asks for an n x k grid using every element of a rank-n matroid
 on n*k elements exactly once, where row i must contain the prescribed set
-I_i and every column must be a basis.  Both searches here, the solver over
-cells in column-major order and the least basis partition that the
-generators need, are one loop over an explicit stack, so neither has a
-depth limit.  Each solver cell keeps a bitmask of its untried candidates,
-tried in increasing index.  Whether a set splits into disjoint bases at all
-is decided in polynomial time by matroid partition (`splits_into_bases`),
-which also checks the k-disjoint-bases hypothesis.
+I_i and every column must be a basis.  The solver is one loop over an
+explicit stack of cells in column-major order, so it has no depth limit;
+each cell keeps a bitmask of its untried candidates, tried in increasing
+index.  One matroid-partition routine (`_Parts`) answers, in polynomial
+time, whether a set splits into disjoint bases (`splits_into_bases`, which
+also checks the k-disjoint-bases hypothesis) and the least such split of
+the ground set, which the generators need (`find_basis_partition`).
 
 Pruning keeps counts exact: a partial column must stay independent (the
 incremental tester subsumes closure-based candidate filtering), and a row
@@ -109,125 +109,123 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
                          node_cap: int | None = None):
     """Partition the ground set into `parts` disjoint bases, or None.
 
-    Exact backtracking, one loop over an explicit stack: each element in
-    turn joins the first part that keeps it independent, opening at most one
-    empty part (empty parts are interchangeable), so the first partition
-    found is the least such assignment.  Swapping parallel elements maps
-    partitions to partitions, so once the search backtracks, an element tries
-    only parts after its parallel-class predecessor's.  With a node cap it
-    gives up (None) when it would place node `node_cap + 1`.
+    The least such assignment: each element in turn joins the first part
+    with which a partition can still be completed, opening at most one
+    empty part.  A first fit, each element in the first part that keeps it
+    independent, is that answer when it places every element; otherwise
+    the leftovers go in along augmenting paths, which decides whether any
+    partition exists, and the elements are pinned in order (`_Parts.pin`).
+    Nothing backtracks; `node_cap` is accepted for compatibility and ignored.
     """
     m = oracle.ground.size
-    r = oracle.rank_total
-    if parts < 0 or r * parts != m:
+    if parts < 0 or oracle.rank_total * parts != m:
         return None
-    if parts == 0:
-        return ()
-    testers = [tester_for(oracle) for _ in range(parts)]
-    sizes = [0] * parts
-    assign = [-1] * (m + 1)   # assign[m] = -1 stands for "no predecessor"
-    prev = None               # parallel-class predecessors, m for none
-    limit = -1 if node_cap is None else node_cap
-    nodes = opened = e = p = 0
-    while e < m:
-        top = min(opened, parts - 1)
-        while p <= top and (sizes[p] == r or not testers[p].can_add(e)):
-            p += 1
-        if p <= top:
-            if nodes == limit:
-                return None
-            nodes += 1
-            testers[p].push(e)
-            sizes[p] += 1
-            opened += p == opened
-            assign[e] = p
-            e += 1
-            p = 0 if prev is None else assign[prev[e]] + 1
-            continue
-        if not e:
-            return None
-        if prev is None:
-            prev = [m] * (m + 1)
-            for cls in oracle.parallel_classes():
-                for f, g in zip(cls, cls[1:]):
-                    prev[g] = f
-        e -= 1
-        p = assign[e]
-        testers[p].pop(e)
-        sizes[p] -= 1
-        opened -= not sizes[p]
-        p += 1
-    return tuple(frozenset(e for e in range(m) if assign[e] == p) for p in range(parts))
+    state = _Parts(oracle, range(m), parts, cyclic=False)
+    if not state.left:
+        return tuple(map(frozenset, state.free))
+    if any(state.insert(s, range(parts)) is not None for s in state.left):
+        return None
+    order: list[int] = []     # the parts with pins, in the order they opened
+    for e in range(m):
+        c = state.part_of[e]
+        earlier = order[:order.index(c)] if c in order else order
+        c = state.pin(e, earlier)
+        if c not in order:
+            order.append(c)
+    return tuple(frozenset(state.pinned[j]) for j in order)
 
 
 def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
-    """True iff the elements of bitmask `mask` split into `parts` disjoint bases.
-
-    Edmonds' matroid partition (Edmonds 1965; Cunningham 1986), polynomial
-    and exact; see `_split`.
-    """
-    if parts < 0 or mask.bit_count() != oracle.rank_total * parts:
-        return False
-    return _split(oracle, mask, parts) is None
+    """True iff the elements of bitmask `mask` split into `parts` disjoint
+    bases, by matroid partition (Edmonds 1965; Cunningham 1986): `_split`."""
+    return (parts >= 0 and mask.bit_count() == oracle.rank_total * parts
+            and _split(oracle, mask, parts) is None)
 
 
 def _split(oracle: MatroidOracle, mask: int, parts: int):
     """None if `mask`, of exactly `parts` times the rank elements, splits into
     `parts` disjoint bases; otherwise a certificate (R, rho), R a bitmask,
-    that it does not.
-
-    Each element first joins the next part, cyclically, that keeps it
-    independent, so parallel elements spread at once.  Every element left
-    over is inserted along a shortest augmenting path, found breadth first.
-    An edge x -> y, y in part j and x not, means part j - y + x is
-    independent: y lies on x's circuit in part j.  A path ends at an element
-    that some other part takes as it is.  Shortest paths keep every exchanged
-    part independent.  When no path exists, the set R that the search
-    reached lies in the span of its members in each part, and only the
-    leftover it started from is in no part, so |R| = parts * r(R) + 1 with
+    that it does not.  When a leftover has no augmenting path, the set R
+    that the search reached lies in the span of its members in each part,
+    and only the leftover is in no part, so |R| = parts * r(R) + 1 with
     rho = r(R).  A set X with more than p * rho elements of R then has no
-    partition into p independent sets, so none into bases, for any p.
-    """
-    r = oracle.rank_total
-    elems = _bits(mask)
-    members: list[list[int]] = [[] for _ in range(parts)]
-    full = [tester_for(oracle) for _ in range(parts)]
-    part_of = dict.fromkeys(elems, -1)
-    left = []
-    j = -1
-    for e in elems:
-        for _ in range(parts):
-            j = (j + 1) % parts
-            if full[j].can_add(e):
-                full[j].push(e)
-                members[j].append(e)
-                part_of[e] = j
-                break
-        else:
-            left.append(e)
-    for s in left:
+    partition into p independent sets, so none into bases, for any p."""
+    state = _Parts(oracle, _bits(mask), parts, cyclic=True)
+    for s in state.left:
+        reached = state.insert(s, range(parts))
+        if reached is not None:
+            return _mask(reached), (len(reached) - 1) // parts
+    return None
+
+
+class _Parts:
+    """A matroid partition in progress.  Part j holds its pinned elements,
+    which never move, and at most `room[j]` `free` ones; `full[j]` is a
+    tester holding all of it, `pins[j]` one holding its pins.  Part j
+    extends its pins P_j: matroid partition over the contractions M/P_j.
+    Each element starts in the first part that takes it, from the one after
+    the last used when `cyclic` (parallel elements spread at once), else
+    from part 0; `left` lists the rest."""
+
+    def __init__(self, oracle: MatroidOracle, elems, parts: int, cyclic: bool):
+        self.oracle = oracle
+        self.free = free = [[] for _ in range(parts)]
+        self.pinned = [[] for _ in range(parts)]
+        self.room = room = [oracle.rank_total] * parts
+        self.part_of = part_of = [-1] * oracle.ground.size
+        self.full = full = [tester_for(oracle) for _ in range(parts)]
+        self.pins = [tester_for(oracle) for _ in range(parts)]
+        self.left = left = []
+        j = -1
+        for e in elems:
+            for i in range(1, parts + 1):
+                p = (j + i) % parts if cyclic else i - 1
+                # a full part takes nothing: skip it before a costly test
+                if len(free[p]) < room[p] and full[p].can_add(e):
+                    full[p].push(e)
+                    free[p].append(e)
+                    part_of[e] = j = p
+                    break
+            else:
+                left.append(e)
+
+    def _rebuild(self, j: int) -> None:
+        self.full[j] = tester = tester_for(self.oracle)
+        for f in self.pinned[j] + self.free[j]:
+            tester.push(f)
+
+    def insert(self, s: int, first: Sequence[int]):
+        """Put s, in no part, into the parts along a shortest augmenting path,
+        found breadth first, whose first step enters a part in `first`: None
+        if one exists, else the elements reached.  An edge x -> y, y free in
+        part j, means part j - y + x is independent; a path ends at an element
+        another part takes as it is, and a shortest one keeps every part
+        independent."""
+        free, part_of, room, full = self.free, self.part_of, self.room, self.full
+        everywhere = range(len(free))
+
+        def sink_of(x, targets):
+            return next((j for j in targets if j != part_of[x] and
+                         len(free[j]) < room[j] and full[j].can_add(x)), None)
+
         came_from = {s: None}
         queue = [s]
-        # reach[j] holds the members of part j on the queue
-        reach = [tester_for(oracle) for _ in range(parts)]
-        sink = None
-        for x in queue:
-            px = part_of[x]
-            sink = next((j for j in range(parts) if j != px
-                         and len(members[j]) < r and full[j].can_add(x)), None)
+        x, sink = s, sink_of(s, first)
+        for z in queue:
             if sink is not None:
                 break
-            for j in range(parts):
-                if j == px:
+            for j in (first if z == s else everywhere):
+                if j == part_of[z]:
                     continue
-                tester = reach[j]
-                # x's circuit in part j leaves the queue exactly when the
-                # members on the queue do not span x; on top of x, the first
-                # member off the queue that does not fit lies on the circuit
-                while tester.can_add(x):
-                    pushed = [x]
-                    tester.push(x)
-                    for y in members[j]:
+                tester = self.pins[j]
+                # z's circuit in part j leaves the queue exactly when the
+                # pins and the members on the queue do not span z; on top of
+                # z, the first free member off the queue that does not fit
+                # lies on the circuit
+                while sink is None and tester.can_add(z):
+                    pushed = [z]
+                    tester.push(z)
+                    for y in free[j]:
                         if y not in came_from:
                             if not tester.can_add(y):
                                 break
@@ -235,26 +233,47 @@ def _split(oracle: MatroidOracle, mask: int, parts: int):
                             pushed.append(y)
                     for f in reversed(pushed):
                         tester.pop(f)
-                    came_from[y] = x
+                    came_from[y] = z
                     queue.append(y)
                     tester.push(y)
+                    x, sink = y, sink_of(y, everywhere)
+        for y in reversed(queue[1:]):      # leave the pin testers as found
+            self.pins[part_of[y]].pop(y)
         if sink is None:
-            return _mask(queue), (len(queue) - 1) // parts
+            return queue
         # move x into `sink`, then each predecessor into the part x left
-        changed = set()
+        full[sink].push(x)          # `sink` takes x as it is
+        changed = set()             # the parts that lost a member
         while x is not None:
-            old = part_of[x]
-            members[sink].append(x)
+            old, part_of[x] = part_of[x], sink
+            free[sink].append(x)
             if old >= 0:
-                members[old].remove(x)
-            part_of[x] = sink
-            changed.add(sink)
+                free[old].remove(x)
+                changed.add(old)
             sink, x = old, came_from[x]
         for j in changed:
-            tester = full[j] = tester_for(oracle)
-            for f in members[j]:
-                tester.push(f)
-    return None
+            self._rebuild(j)
+        return None
+
+    def pin(self, e: int, earlier: list[int]) -> int:
+        """Pin e to the first of the `earlier` parts that an augmenting path
+        from e, entering it first, can move e into, else to its own part."""
+        c = self.part_of[e]
+        tries = [q for q in earlier if self.room[q] and self.pins[q].can_add(e)]
+        if tries:
+            free, full = self.free[c], self.full[c]
+            self.free[c] = [f for f in free if f != e]
+            self._rebuild(c)
+            self.part_of[e] = -1
+            q = next((q for q in tries if self.insert(e, (q,)) is None), c)
+            if q == c:          # nothing moved: restore part c
+                self.free[c], self.full[c], self.part_of[e] = free, full, c
+            c = q
+        self.free[c].remove(e)
+        self.pinned[c].append(e)
+        self.room[c] -= 1
+        self.pins[c].push(e)
+        return c
 
 
 def _lookahead(oracle: MatroidOracle, mask: int, parts: int, certs: list) -> bool:

@@ -211,23 +211,6 @@ def builtin_instance(name: str) -> NamedInstance:
 # ---------------------------------------------------------------------------
 # catalog generators
 
-# node budget for the partition search inside generator redraw loops; a draw
-# that exhausts it is simply redrawn, deterministically
-_GENERATOR_SEARCH_CAP = 200_000
-
-
-def _least_split(oracle: MatroidOracle, parts: int):
-    """The least partition of a full-rank draw into `parts` bases, or None.
-
-    Matroid partition decides whether a split exists; only on a yes does
-    the capped search run, for the least partition itself.  A draw with no
-    split, or one on which the search spends its cap, is redrawn.
-    """
-    if not splits_into_bases(oracle, (1 << oracle.ground.size) - 1, parts):
-        return None
-    return find_basis_partition(oracle, parts, node_cap=_GENERATOR_SEARCH_CAP)
-
-
 def _linear_draw(rank: int, m: int, seed: int, entry_bound: int = 2):
     """`random_linear_matroid`'s draw together with its least partition."""
     if m % rank != 0:
@@ -242,9 +225,7 @@ def _linear_draw(rank: int, m: int, seed: int, entry_bound: int = 2):
         cols = tuple(tuple([exact[v] for v in col]) for col in ints)
         oracle = MatroidOracle(LinearRep(rank, cols), _columns=ints,
                                name=f"linear-r{rank}-m{m}-s{seed}")
-        if oracle.rank_total != rank:
-            continue
-        parts = _least_split(oracle, m // rank)
+        parts = find_basis_partition(oracle, m // rank)
         if parts is not None:
             return oracle, parts
 
@@ -276,9 +257,7 @@ def random_graphic_matroid(vertices: int, m: int, seed: int) -> MatroidOracle:
             edges.append((min(u, w), max(u, w)))
         oracle = MatroidOracle(GraphicRep(vertices, tuple(edges)),
                                name=f"graphic-v{vertices}-m{m}-s{seed}")
-        if oracle.rank_total != rank:
-            continue
-        if _least_split(oracle, m // rank) is not None:
+        if find_basis_partition(oracle, m // rank) is not None:
             return oracle
 
 

@@ -195,8 +195,9 @@ def test_partition_wrong_divisibility(k4):
 
 
 def reference_partition(oracle, parts):
-    """Recursive partition search with no parallel-class rule: a test-only
-    reference for the first partition `find_basis_partition` must return."""
+    """Recursive backtracking partition search, sharing no code with src: a
+    test-only reference for the least partition `find_basis_partition` must
+    return."""
     m, r = oracle.ground.size, oracle.rank_total
     if parts < 0 or r * parts != m:
         return None
@@ -274,16 +275,13 @@ def test_partition_matches_recursive_reference(source):
         assert found < len(cases)  # and some that do not
 
 
-@pytest.mark.parametrize("name,nodes", [
-    ("mcdiarmid", 24), ("odd-wheel-5", 80), ("odd-wheel-7", 400)])
-def test_partition_node_cap(name, nodes):
-    # the search places exactly `nodes` nodes; any smaller cap gives up
+@pytest.mark.parametrize("name", ["mcdiarmid", "odd-wheel-5", "odd-wheel-7"])
+def test_partition_node_cap(name):
+    # `node_cap` is accepted and ignored: no budget makes the search give up
     inst = builtin_instance(name).instance
     found = find_basis_partition(inst.matroid, inst.k)
-    assert found is not None
-    for cap in (0, nodes - 1):
-        assert find_basis_partition(inst.matroid, inst.k, node_cap=cap) is None
-    for cap in (nodes, 10**6):
+    assert is_disjoint_union_of_bases(inst.matroid, found)
+    for cap in (0, 10**6):
         assert find_basis_partition(inst.matroid, inst.k, node_cap=cap) == found
 
 
@@ -306,7 +304,10 @@ def test_odd_wheels_pass_the_hypothesis_check():
 def test_partition_search_has_no_depth_limit():
     # 1,089 elements, more than Python's default recursion limit
     wheel = builtin_instance("odd-wheel-33").instance.matroid
-    assert find_basis_partition(wheel, 33, node_cap=10_000) is None
+    start = time.perf_counter()
+    parts = find_basis_partition(wheel, 33)
+    assert time.perf_counter() - start < 1.0
+    assert is_disjoint_union_of_bases(wheel, parts)
 
 
 # --- splits_into_bases ---------------------------------------------------------------
@@ -342,7 +343,7 @@ def split_draws(draw):
 
 def test_splits_into_bases_matches_the_partition_search():
     # both answers are exact, so they must agree on every draw, and the
-    # draws must reach both answers
+    # draws must reach both answers; the reference shares no code with src
     seen = set()
 
     @given(split_draws())
@@ -350,12 +351,42 @@ def test_splits_into_bases_matches_the_partition_search():
     def agree(case):
         oracle, chosen, parts = case
         mask = sum(1 << e for e in chosen)
-        want = find_basis_partition(oracle.restrict(chosen), parts) is not None
+        want = reference_partition(oracle.restrict(chosen), parts) is not None
         assert splits_into_bases(oracle, mask, parts) == want
         seen.add(want)
 
     agree()
     assert seen == {True, False}
+
+
+def test_least_partition_matches_the_recursive_reference(monkeypatch):
+    # the draws must reach no split, a first fit that is already the
+    # answer, and answers for which pinning moves an element
+    paths = []
+    insert = rotagrid.grid._Parts.insert
+
+    def counted(self, s, first):
+        reached = insert(self, s, first)
+        # a tuple `first` is a pinning move's single part
+        paths.append((type(first) is tuple, reached is None))
+        return reached
+
+    monkeypatch.setattr(rotagrid.grid._Parts, "insert", counted)
+    seen = set()
+
+    @given(split_draws())
+    @settings(max_examples=400, deadline=None)
+    def agree(case):
+        oracle, chosen, parts = case
+        sub = oracle.restrict(chosen)
+        want = reference_partition(sub, parts)
+        paths.clear()
+        assert find_basis_partition(sub, parts) == want
+        seen.add("none" if want is None else "moved" if (True, True) in paths
+                 else "first fit" if not paths else "augmented")
+
+    agree()
+    assert {"none", "first fit", "moved"} <= seen
 
 
 def test_splits_into_bases_follows_every_circuit_member():

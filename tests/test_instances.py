@@ -1,6 +1,7 @@
 """Named instances, catalog generators, and the row-family enumerator."""
 
 import hashlib
+import time
 from itertools import combinations, product
 
 import pytest
@@ -214,6 +215,38 @@ def test_c3_catalog_draws_are_pinned():
         "9b34469ee9fa9e3ffda242567a80529b0ea442aea83290fcf10c9e9a6f58d0c3")
 
 
+# sha256 of serialize_matroid(random_graphic_matroid(*args)).  The first
+# three are first draws that split, which a partition search that gives up
+# after a node budget would redraw.
+GRAPHIC_DRAWS = {
+    (7, 36, 3): "e58e4fa8abf063887927fbb79dcd23df7b5a6cbdb56852b52c7c9035741ec465",
+    (9, 64, 0): "9cd010e9dbcee29c624b433c46545cc54c5a8d3d2275e6892a0b71a5c43f27c5",
+    (9, 64, 1): "0ec77669ed737e7c067070be1ee1866a7eb5ba6a041aa70d6a5d60c69b565552",
+    (5, 12, 0): "618f38373fcf973f602733d95acad245fe7075e08d422429873dfed092595be8",
+    (5, 8, 2): "01bfba0b779f446968ba7dfdb5f1cea0c72828c7998052747f6e589eebeda430",
+    (5, 8, 4): "d404e2ca0f12f80390810b2895450919ab86516a190449f2bf746d243bffa0da",
+    (4, 6, 0): "bd2d3fb51c11b2d25d54bbd50fe8f0b7ff8cb2d17f54fa09b063f6061e1985af",
+    (5, 16, 0): "9d4fb0d6f237385b12c146eecbf8638a8a38d473b85382f51727b52e9d43e137",
+}
+
+
+@pytest.mark.parametrize("args", list(GRAPHIC_DRAWS),
+                         ids=lambda a: "-".join(map(str, a)))
+def test_random_graphic_draws_are_pinned(args):
+    text = serialize_matroid(random_graphic_matroid(*args))
+    assert _digest([text]) == GRAPHIC_DRAWS[args]
+
+
+def test_large_graphic_draws_split_quickly():
+    # 64 edges in 8 spanning trees; each seed's first draw with a split is
+    # kept, found with no search that can give up
+    start = time.perf_counter()
+    draws = [random_graphic_matroid(9, 64, s) for s in range(10)]
+    assert time.perf_counter() - start < 1.0
+    for oracle in draws:
+        assert is_disjoint_union_of_bases(oracle, find_basis_partition(oracle, 8))
+
+
 def test_linear_draws_hand_the_oracle_their_integer_columns():
     """A linear draw passes its integer entries as the oracle's columns; they
     must be exactly what scaling its Fraction columns would give."""
@@ -228,27 +261,31 @@ def test_linear_draws_hand_the_oracle_their_integer_columns():
 
 
 def test_rota_instance_searches_once_and_only_after_a_split(monkeypatch):
-    """Seed 20's first n=4 draw has full rank and no split: matroid partition
-    rejects it, and the least-partition search runs once, on the kept draw."""
-    events = []
-    split, search = instances.splits_into_bases, instances.find_basis_partition
+    """Seed 20's first n=4 draw has full rank and no split.  Every draw costs
+    one least-partition search, which rejects a draw without full rank or a
+    split and gives the kept one its rows.  No separate split check runs."""
+    drawn, searched = [], []
+    oracle_type, search = instances.MatroidOracle, instances.find_basis_partition
 
-    def splits(oracle, mask, parts):
-        events.append(("split", split(oracle, mask, parts)))
-        return events[-1][1]
+    def draw(*args, **kwargs):
+        drawn.append(oracle_type(*args, **kwargs))
+        return drawn[-1]
 
-    def least(oracle, parts, node_cap=None):
-        assert node_cap == instances._GENERATOR_SEARCH_CAP
-        events.append(("search", oracle))
-        return search(oracle, parts, node_cap=node_cap)
+    def least(oracle, parts):
+        searched.append((oracle, search(oracle, parts)))
+        return searched[-1][1]
 
-    monkeypatch.setattr(instances, "splits_into_bases", splits)
+    def no_split_check(*args):
+        raise AssertionError("the generators need no separate split check")
+
+    monkeypatch.setattr(instances, "MatroidOracle", draw)
     monkeypatch.setattr(instances, "find_basis_partition", least)
+    monkeypatch.setattr(instances, "splits_into_bases", no_split_check)
     inst = random_rota_instance(4, 20)
-    searched = [e for e in events if e[0] == "search"]
-    assert events[0] == ("split", False)
-    assert searched == [("search", inst.matroid)] == events[-1:]
-    assert events[-2] == ("split", True)
+    assert [o for o, _ in searched] == drawn
+    assert [parts for _, parts in searched[:-1]] == [None] * (len(drawn) - 1)
+    assert drawn[0].rank_total == 4 and len(drawn) > 1
+    assert searched[-1] == (inst.matroid, inst.bases)
 
 
 def test_rota_instance_rows_are_the_least_partition():
