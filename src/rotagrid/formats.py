@@ -97,10 +97,13 @@ def _parse_rational(no: int, tok: str) -> Fraction:
     m = _RATIONAL.match(tok)
     if not m:
         raise FormatError(no, f"malformed rational {tok!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
+    try:
+        num = int(m.group(1))
+        if m.group(2) is None:
+            return Fraction(num)
+        den = int(m.group(2))
+    except ValueError:  # past the interpreter's limit on digits converted
+        raise FormatError(no, f"rational of {len(tok)} characters is too long") from None
     if den == 0:
         raise FormatError(no, f"zero denominator in {tok!r}")
     return Fraction(num, den)

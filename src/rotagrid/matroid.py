@@ -9,7 +9,10 @@ through that tester.  Parallel classes come from a key read off the
 representation (a column's primitive direction, an edge's endpoints, the
 bases through an element), which the tests check against the tester.  All
 arithmetic is exact -- the linear tester eliminates over integers
-(Bareiss), never floating point.
+(Bareiss), never floating point.  It packs each integer column into one int
+of signed fields wide enough for every minor, so an elimination step is a
+few operations on whole ints; an oracle packs its columns once and hands
+them to its restrictions.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -140,7 +143,8 @@ class MatroidOracle:
     """
 
     def __init__(self, rep: Representation, names: Sequence[str] | None = None,
-                 name: str = "", ground_size: int | None = None, _columns=None):
+                 name: str = "", ground_size: int | None = None, _columns=None,
+                 _packing=None):
         self.rep = rep
         m = rep.size if ground_size is None else ground_size
         if isinstance(rep, BasesRep) and rep.size > m:
@@ -157,6 +161,7 @@ class MatroidOracle:
             self._ceiling = rep.rank
         elif isinstance(rep, LinearRep):
             self._columns = _columns or tuple(_integer_column(c) for c in rep.columns)
+            self._packing = _packing or _pack(self._columns, rep.dim)
             self._ceiling = rep.dim
         else:
             self._ceiling = rep.vertices - 1
@@ -262,16 +267,21 @@ class MatroidOracle:
         if self.ground.names is not None:
             names = tuple(self.ground.names[e] for e in elems)
         rep = self.rep
-        columns = None
+        columns = packing = None
         if isinstance(rep, LinearRep):
             sub_rep: Representation = LinearRep(rep.dim, tuple(rep.columns[e] for e in elems))
             columns = tuple(self._columns[e] for e in elems)
+            # a subset's minors are minors of these columns, so the width
+            # still decodes them
+            packed, width, bias = self._packing
+            packing = (tuple([packed[e] for e in elems]), width, bias)
         elif isinstance(rep, GraphicRep):
             sub_rep = GraphicRep(rep.vertices, tuple(rep.edges[e] for e in elems))
         else:
             sub_rep = _restrict_bases(rep, elems, self.rank(elems))
         sub = MatroidOracle(sub_rep, names=names, name=self.name,
-                            ground_size=len(elems), _columns=columns)
+                            ground_size=len(elems), _columns=columns,
+                            _packing=packing)
         sub.parent_elements = tuple(elems)
         return sub
 
@@ -476,50 +486,68 @@ class TableTester:
 
 
 class LinearTester:
-    # Fraction-free (Bareiss) elimination over integer columns.  A stack entry
-    # is (pivot column p, row w, element, pivot value d); v reduces against it
-    # to (d * v - v[p] * w) // d', d' the pivot value of the entry before (1
-    # for the first), and Sylvester's identity makes that division exact.
-    __slots__ = ("columns", "stack", "kept")
+    # Fraction-free (Bareiss) elimination over integer columns, each packed
+    # into one int: coordinate i is a signed field of `width` bits at bit
+    # i * width.  A stack entry is (pivot shift s, row w, element, pivot value
+    # d); v reduces against it to (d * v - c * w) // d', c the field of v at s
+    # and d' the pivot value of the entry before (1 for the first).
+    #
+    # Packing is linear and Sylvester's identity makes each coordinate's
+    # division exact, so the packed arithmetic is exact whatever the width;
+    # the width only has to make the fields decodable.  Every stored or
+    # reduced coordinate is a minor of at most dim columns, so by Hadamard at
+    # most H = sqrt(prod of the dim largest max(1, |col|^2)) in absolute
+    # value, and width = ceil(bitlen(H^2) / 2) + 2 keeps H below
+    # half = 2**(width - 1).  Adding `bias` (half in each of the dim fields)
+    # turns every field into a nonnegative digit, so c is a shift and a mask;
+    # v is zero iff each coordinate is; and the lowest set bit of v lies in
+    # its first nonzero field, the pivot.
+    __slots__ = ("columns", "width", "bias", "half", "fmask", "stack", "kept")
 
-    def __init__(self, columns: Sequence[Sequence]):
-        self.columns = tuple(_integer_column(c) for c in columns)
-        self.stack: list[tuple[int, Sequence[int], int, int]] = []
-        self.kept: tuple[int, Sequence[int]] = (-1, ())  # last can_add: (e, v)
-
-    @classmethod
-    def over_integers(cls, columns: Sequence[tuple[int, ...]]) -> "LinearTester":
-        """A tester over columns already scaled to integers, as an oracle's are."""
-        tester = cls(())
-        tester.columns = columns
-        return tester
+    def __init__(self, columns: Sequence[Sequence], _packing=None):
+        if _packing is None:
+            ints = [_integer_column(c) for c in columns]
+            _packing = _pack(ints, len(ints[0]) if ints else 0)
+        self.columns, self.width, self.bias = _packing
+        self.half = 1 << self.width - 1
+        self.fmask = (1 << self.width) - 1
+        self.stack: list[tuple[int, int, int, int]] = []
+        self.kept = (-1, 0)  # last can_add: (e, v)
 
     def can_add(self, e: int) -> bool:
         v = self.columns[e]
+        bias, fmask, half = self.bias, self.fmask, self.half
         prev = 1
-        for p, w, _, d in self.stack:
-            c = v[p]
-            v = ([(d * a - c * b) // prev for a, b in zip(v, w)] if c
-                 else [d * a // prev for a in v])
+        for s, w, _, d in self.stack:
+            v = (d * v - (((v + bias) >> s & fmask) - half) * w) // prev
             prev = d
         self.kept = (e, v)
-        return any(v)
+        return v != 0
 
     def push(self, e: int) -> None:
         if self.kept[0] != e:  # else reuse the reduction can_add just made
             self.can_add(e)
         v = self.kept[1]
-        self.kept = (-1, ())
-        for p, a in enumerate(v):
-            if a:
-                self.stack.append((p, v, e, a))
-                return
-        raise ValueError(f"element {e} is dependent on the current set")
+        self.kept = (-1, 0)
+        if not v:
+            raise ValueError(f"element {e} is dependent on the current set")
+        s = ((v & -v).bit_length() - 1) // self.width * self.width
+        self.stack.append((s, v, e, ((v + self.bias) >> s & self.fmask) - self.half))
 
     def pop(self, e: int) -> None:
-        self.kept = (-1, ())
+        self.kept = (-1, 0)
         if self.stack.pop()[2] != e:
             raise ValueError("pop order must mirror push order")
+
+
+def _pack(columns: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], int, int]:
+    """Integer columns packed for `LinearTester`: (packed columns, field
+    width, bias), the width read off the Hadamard bound of the columns."""
+    norms = sorted((max(1, sum([x * x for x in col])) for col in columns), reverse=True)
+    width = (prod(norms[:dim]).bit_length() + 1) // 2 + 2
+    half = 1 << width - 1
+    packed = tuple(sum([x << i * width for i, x in enumerate(col)]) for col in columns)
+    return packed, width, sum([half << i * width for i in range(dim)])
 
 
 class GraphicTester:
@@ -599,7 +627,7 @@ def _rep_tester(oracle: MatroidOracle):
     representation decides independence."""
     rep = oracle.rep
     if isinstance(rep, LinearRep):
-        return LinearTester.over_integers(oracle._columns)
+        return LinearTester((), oracle._packing)
     if isinstance(rep, GraphicRep):
         return GraphicTester(rep.vertices, rep.edges)
     return BasesTester(oracle._basis_masks)

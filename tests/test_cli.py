@@ -189,6 +189,18 @@ def test_check_matroid_parse_error(tmp_path):
     assert run(["check-matroid", "--matroid", str(bad)]) == 2
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="int() converts any length")
+def test_check_matroid_overlong_rational_names_its_line(tmp_path, capsys):
+    # int() refuses strings past the interpreter's digit limit
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    bad = tmp_path / "long.matroid"
+    bad.write_text("MATROID v1\nNAME z\nGROUND 2\nTYPE LINEAR\nDIM 1\n"
+                   f"ROW 1 {digits}/7\n")
+    assert run(["check-matroid", "--matroid", str(bad)]) == 2
+    assert "line 6: rational of" in capsys.readouterr().err
+
+
 GOOD_MATROID = "MATROID v1\nNAME g\nGROUND 2\nTYPE GRAPHIC\nVERTICES 2\n" \
                "EDGE 0 1\nEDGE 0 1\n"
 TRUNCATED = {   # keyword -> (matroid file, grid file or None, error line)

@@ -312,7 +312,8 @@ def test_rota_random_instances_strictly_decreasing_mu():
             assert trace.steps[-1].mu_after == 0
 
 
-@pytest.mark.parametrize("n,steps,nodes", [(12, 44, 1584), (16, 79, 3792)])
+@pytest.mark.parametrize("n,steps,nodes",
+                         [(12, 44, 1584), (16, 79, 3792), (20, 117, 7020)])
 def test_large_descent_is_pinned(n, steps, nodes):
     # steps and subsolve nodes of large descents, fixed by their search order
     inst = random_rota_instance(n, seed=0)

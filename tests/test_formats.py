@@ -1,5 +1,6 @@
 """Text-format round trips, canonical serialization, and parser diagnostics."""
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -97,6 +98,22 @@ def test_zero_denominator_rejected():
     line = err_line("MATROID v1\nNAME z\nGROUND 2\nTYPE LINEAR\nDIM 1\n"
                     "ROW 1 3/0\n")
     assert line == 6
+
+
+# one digit past the interpreter's limit on converting a string to an int
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+LONG = "7" * (DIGIT_LIMIT + 1)
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="int() converts any length")
+@pytest.mark.parametrize("tok", [LONG, f"-{LONG}/3", f"1/{LONG}"],
+                         ids=["integer", "numerator", "denominator"])
+def test_overlong_rational_is_format_error(tok):
+    with pytest.raises(FormatError) as info:
+        parse_matroid("MATROID v1\nNAME z\nGROUND 2\nTYPE LINEAR\nDIM 1\n"
+                      f"ROW 1 {tok}\n")
+    assert info.value.line == 6
+    assert str(info.value) == f"line 6: rational of {len(tok)} characters is too long"
 
 
 def test_malformed_rational_rejected():

@@ -9,6 +9,7 @@ parallel classes of every representation.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -30,17 +31,25 @@ J_VECTORS = [(-2, 3, 0, 1), (0, 0, 1, 1), (0, 2, 0, 1), (1, 0, 3, 1),
 # --- independent reference implementations ---------------------------------
 
 def det(rows):
-    """Exact determinant by fraction-free expansion (reference only)."""
+    """Exact determinant by cofactor expansion along the first row, each
+    sub-determinant memoized by the columns it keeps (reference only)."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += sign * rows[0][j] * det(minor)
-        sign = -sign
-    return total
+    memo = {0: 1}
+
+    def expand(keep):
+        # rows n - popcount(keep) .. n-1 on the columns in the mask `keep`
+        if keep not in memo:
+            row = rows[n - keep.bit_count()]
+            total, sign = 0, 1
+            for j in range(n):
+                if keep >> j & 1:
+                    if row[j]:
+                        total += sign * row[j] * expand(keep ^ 1 << j)
+                    sign = -sign
+            memo[keep] = total
+        return memo[keep]
+
+    return expand((1 << n) - 1)
 
 
 def minor_rank(vectors):
@@ -521,11 +530,12 @@ rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([2, 3, 5]))
 
 
 @st.composite
-def linear_columns(draw, max_dim=4, max_size=6, entries=st.integers(-3, 3)):
+def linear_columns(draw, max_dim=4, max_size=6, entries=st.integers(-3, 3),
+                   fractions=rationals):
     """Small exact columns: fresh (integer or rational entries), zero, repeated,
     scaled from an earlier one, or the sum of two earlier ones."""
     d = draw(st.integers(1, max_dim))
-    fresh = st.one_of(entries, rationals)
+    fresh = st.one_of(entries, fractions)
     cols: list[tuple] = []
     for _ in range(draw(st.integers(1, max_size))):
         kind = draw(st.sampled_from(
@@ -652,25 +662,75 @@ def test_linear_tester_scripts_match_minor_rank(cols, script):
             push(e)
 
 
+def unpack(v, width, dim):
+    """The coordinates of a packed column or row: dim - 1 signed fields of
+    `width` bits from the bottom, then all that is left above them."""
+    half = 1 << width - 1
+    out = []
+    for _ in range(dim - 1):
+        x = (v + half) % (1 << width) - half
+        out.append(x)
+        v = (v - x) >> width
+    return out + [v]
+
+
+def check_rows_are_minors(tester, cols):
+    """Bareiss invariant: entry j of the k-th stored row is the k-by-k minor
+    of the first k pushed (scaled) columns on the earlier pivots and j, so
+    every value is exact, not just its zero pattern.  Each entry, the top
+    field's included, stays below half the field, and the pivot is the row's
+    first nonzero entry."""
+    dim, width = len(cols[0]), tester.width
+    pushed, pivots = [], []
+    for s, w, e, d in tester.stack:
+        col = unpack(tester.columns[e], width, dim)
+        scale = lcm(*[Fraction(x).denominator for x in cols[e]])
+        assert col == [Fraction(x) * scale for x in cols[e]]
+        pushed.append(col)
+        row = unpack(w, width, dim)
+        assert row == [det([[v[i] for i in pivots + [j]] for v in pushed])
+                       for j in range(dim)]
+        assert all(abs(x) < 1 << width - 1 for x in row)
+        p, r = divmod(s, width)
+        assert r == 0 and d == row[p] != 0 and not any(row[:p])
+        pivots.append(p)
+
+
 @given(st.integers(1, 6).flatmap(lambda d: st.lists(
     st.tuples(*[rationals] * d), min_size=1, max_size=8)))
 @settings(max_examples=100, deadline=None)
 def test_linear_tester_rows_are_minors(cols):
-    # Bareiss invariant: entry j of the k-th row is the k-by-k minor of the
-    # first k pushed (scaled) columns on the earlier pivots and j, so every
-    # value is exact, not just its zero pattern
     tester = LinearTester(cols)
     for e in range(len(cols)):
         if tester.can_add(e):
             tester.push(e)
-    pushed, pivots = [], []
-    for p, w, e, d in tester.stack:
-        pushed.append(tester.columns[e])
-        assert all(isinstance(x, int) for x in tester.columns[e])
-        assert list(w) == [det([[v[i] for i in pivots + [j]] for v in pushed])
-                           for j in range(len(w))]
-        assert d == w[p] != 0 and not any(w[:p])
-        pivots.append(p)
+    check_rows_are_minors(tester, cols)
+
+
+# entries far past a machine word, and rationals with large denominators
+huge_rationals = st.builds(Fraction, st.integers(-10**30, 10**30),
+                           st.integers(1, 10**30))
+
+
+@given(linear_columns(max_dim=10, max_size=12,
+                      entries=st.integers(-10**40, 10**40),
+                      fractions=huge_rationals),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_linear_tester_field_width_decodes_large_entries(cols, rng):
+    # the width is read off the Hadamard bound; one too narrow for some minor
+    # decodes a wrong pivot or multiplier, and the verdicts or rows go wrong
+    order = list(range(len(cols)))
+    rng.shuffle(order)
+    tester, pushed = LinearTester(cols), []
+    for e in order:
+        vecs = [cols[x] for x in pushed + [e]]
+        grows = tester.can_add(e)
+        assert grows == (minor_rank(vecs) == len(vecs))
+        if grows:
+            tester.push(e)
+            pushed.append(e)
+    check_rows_are_minors(tester, cols)
 
 
 def test_linear_tester_reduction_is_reused_only_when_fresh():
