@@ -66,7 +66,7 @@ class _Lines:
                               f"unexpected end of file, expected {keyword}")
         no, toks = item
         if toks[0] != keyword:
-            raise FormatError(no, f"expected {keyword}, found {toks[0]}")
+            raise FormatError(no, f"expected {keyword}, found {_shown(toks[0])}")
         self.pos += 1
         return no, toks
 
@@ -80,14 +80,23 @@ class _Lines:
     def expect_end(self):
         item = self.peek()
         if item is not None:
-            raise FormatError(item[0], f"unexpected trailing content {item[1][0]!r}")
+            raise FormatError(item[0],
+                              f"unexpected trailing content {_shown(item[1][0])}")
+
+
+def _shown(tok: str) -> str:
+    """A token as an error message quotes it: whole if short, else its
+    first 24 characters and its length."""
+    if len(tok) <= 24:
+        return repr(tok)
+    return f"{tok[:24]!r}... ({len(tok)} characters)"
 
 
 def _parse_int(no: int, tok: str, what: str) -> int:
     try:
         return int(tok, 10)
     except ValueError:
-        raise FormatError(no, f"bad {what} {tok!r}") from None
+        raise FormatError(no, f"bad {what} {_shown(tok)}") from None
 
 
 _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
@@ -96,7 +105,7 @@ _RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 def _parse_rational(no: int, tok: str) -> Fraction:
     m = _RATIONAL.match(tok)
     if not m:
-        raise FormatError(no, f"malformed rational {tok!r}")
+        raise FormatError(no, f"malformed rational {_shown(tok)}")
     try:
         num = int(m.group(1))
         if m.group(2) is None:
@@ -105,7 +114,7 @@ def _parse_rational(no: int, tok: str) -> Fraction:
     except ValueError:  # past the interpreter's limit on digits converted
         raise FormatError(no, f"rational of {len(tok)} characters is too long") from None
     if den == 0:
-        raise FormatError(no, f"zero denominator in {tok!r}")
+        raise FormatError(no, f"zero denominator in {_shown(tok)}")
     return Fraction(num, den)
 
 

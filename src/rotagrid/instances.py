@@ -7,10 +7,11 @@ plus the dependent-row family: McDiarmid's K4-with-doubled-spokes
 multigraph and, generally, odd wheels with duplicated spokes.
 
 The sweep decides every admissible row family over a rank-n matroid on
-nk <= 12 elements by solving the maximal ones up to row order and up to
-swaps of clones, and reports unsolvable ones verbatim: at k = 3 a
-counterexample to three-column grid completion, at k = 2 the known
-obstructions of M(K4) and J.
+nk <= 12 elements by solving the maximal ones, one per orbit under row
+order and swaps of clones.  It generates only the class-canonical family
+of each orbit instead of filtering all of them, and reports unsolvable
+families verbatim: at k = 3 a counterexample to three-column grid
+completion, at k = 2 the known obstructions of M(K4) and J.
 """
 
 from __future__ import annotations
@@ -345,39 +346,72 @@ def _count_families(indep: Sequence[int], n: int, m: int) -> int:
     return sum(w * h[full & ~used] for used, w in ways.items())
 
 
-def _canonical_maximal_families(table: Sequence[int], indep: Sequence[int],
-                                n: int, k: int, m: int,
-                                ) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing row masks of every maximal family of n rows, cap k.
+def _orbit_maximal_families(table: Sequence[int], indep: Sequence[int],
+                            classes: Sequence[Sequence[int]],
+                            n: int, k: int, m: int,
+                            ) -> Iterator[tuple[int, ...]]:
+    """Row masks of one maximal family of n rows, cap k, per clone orbit.
 
-    A family is maximal when no unused element can join a row of size
-    under k and keep it independent.  `ext[s]` holds the elements outside s
-    that keep s independent (none once s is full), so maximality says the
-    last row contains every element the other rows could still take, and
-    takes nothing more itself.  Each row starts at the previous row's index
-    in `indep`, which keeps the masks nondecreasing.
+    The orbits are those of row permutations and of permutations inside
+    the clone classes.  A family is maximal when no unused element can
+    join a row of size under k and keep it independent.  `ext[s]` holds
+    the elements outside s that keep s independent (none once s is full),
+    so maximality says the last row contains every element the other rows
+    could still take, and takes nothing more itself.
+
+    The families yielded are the class-canonical ones:
+    - prefix placement: each row takes, from every clone class, the least
+      members that earlier rows left unused.  With pred(s) the union of
+      the smaller class-mates of the members of s, that is
+      `pred(s) & ~(used | s) == 0`: `lack`, the part of pred(s) outside
+      s, is all used;
+    - canon order: the rows' canons (`_clone_canon`) do not decrease.
+      The sets are walked in (canon, mask) order, and each row starts at
+      the first set with the previous row's canon.
+
+    Exactly one per orbit.  A canon fixes a row's count in every class,
+    and given the earlier rows, prefix placement admits one set per canon.
+    So a sorted sequence of canons, that is, a multiset of rows read as
+    class counts, gives at most one family.  Every orbit has one: sort a
+    family's rows by canon, then in each class C map the members of the
+    first row to the least members of C, those of the second row to the
+    next ones, and so on.  That permutation stays inside the classes, so
+    it is an automorphism, which keeps maximality.  With no clones every
+    `lack` is 0 and the walk is the walk over mask-sorted families.
     """
     full = (1 << m) - 1
-    ext = {}
-    for s in indep:
-        ext[s] = 0
-        if table[s] < k:
-            for e in range(m):
-                bit = 1 << e
-                if not s & bit and table[s | bit] > table[s]:
-                    ext[s] |= bit
+    canon = _clone_canon(classes, indep)
+    smaller = [0] * m
+    for cls in classes:
+        for j, e in enumerate(cls):
+            smaller[e] = sum(1 << f for f in cls[:j])
+    items, lasts, first = [], [], {}
+    for s in sorted(indep, key=lambda s: (canon[s], s)):
+        ext = lack = 0
+        for e in range(m):
+            bit = 1 << e
+            if s & bit:
+                lack |= smaller[e]
+            elif table[s] < k and table[s | bit] > table[s]:
+                ext |= bit
+        lack &= ~s
+        first.setdefault(canon[s], len(items))
+        items.append((s, lack, ext, first[canon[s]]))
+        lasts.append((s, lack, ext))
+    exts = {s: ext for s, _, ext in lasts}
 
     def extend(start: int, used: int, reach: int, rows: tuple) -> Iterator:
         if len(rows) < n - 1:
-            for i, a in enumerate(indep[start:], start):
-                if not a & used:
-                    yield from extend(i, used | a, reach | ext[a], rows + (a,))
+            for a, lack, ext, nxt in items[start:]:
+                if not a & used and lack & used == lack:
+                    yield from extend(nxt, used | a, reach | ext, rows + (a,))
             return
         rest = full & ~used
         need = reach & rest
-        if need in ext:       # else the last row could not hold it
-            for c in indep[start:]:
-                if not c & ~rest and c & need == need and not ext[c] & rest:
+        if need in exts:      # else the last row could not hold it
+            for c, lack, ext in lasts[start:]:
+                if (not c & used and c & need == need and not ext & rest
+                        and lack & used == lack):
                     yield rows + (c,)
 
     yield from extend(0, 0, 0, ())
@@ -452,17 +486,17 @@ def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepRep
     retained examples); at k = 3 any nonzero `unsat` is a counterexample to
     three-column grid completion.
 
-    Only the maximal families with row masks in nondecreasing order are
-    solved, and of those only the first of each clone orbit.  That is exact:
-    a grid for rows I'_i containing I_i is a grid for the rows I_i,
-    permuting the rows of a grid gives a grid for the permuted rows, and a
-    permutation inside the clone classes is an automorphism, so it maps
-    grids to grids.  Two families with the same multiset of rows, each row
-    read as its count in every clone class, are one orbit.  The family total
-    is counted without enumerating the families.  Should a solved family be
-    unsolvable, every family is enumerated and solved, which yields the
-    exact `sat`, `unsat` and examples.  `processes` is accepted for
-    compatibility and ignored: the sweep runs in the calling process.
+    Only the maximal families are solved, one per orbit under row order
+    and swaps of clones, each generated directly as its class-canonical
+    representative (`_orbit_maximal_families`).  That is exact: a grid for
+    rows I'_i containing I_i is a grid for the rows I_i, permuting the rows
+    of a grid gives a grid for the permuted rows, and a permutation inside
+    the clone classes is an automorphism, so it maps grids to grids.  The
+    family total is counted without enumerating the families.  Should a
+    solved family be unsolvable, every family is enumerated and solved,
+    which yields the exact `sat`, `unsat` and examples.  `processes` is
+    accepted for compatibility and ignored: the sweep runs in the calling
+    process.
     """
     m, n = oracle.ground.size, oracle.rank_total
     if n < 1 or m % n or m > 12:
@@ -474,13 +508,8 @@ def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepRep
 
     table = oracle.build_rank_table()
     indep = [s for s in range(1 << m) if table[s] == bin(s).count("1") <= k]
-    canon = _clone_canon(_clone_classes(table, m), indep)
-    seen = set()
-    for masks in _canonical_maximal_families(table, indep, n, k, m):
-        key = tuple(sorted(canon[a] for a in masks))
-        if key in seen:
-            continue
-        seen.add(key)
+    classes = _clone_classes(table, m)
+    for masks in _orbit_maximal_families(table, indep, classes, n, k, m):
         inst = GridInstance(oracle, n, k, _row_sets(masks, m), REQUIRED)
         if solve(inst).status != SAT:
             return _sweep_exhaustive(oracle, n, k)

@@ -201,6 +201,22 @@ def test_check_matroid_overlong_rational_names_its_line(tmp_path, capsys):
     assert "line 6: rational of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, line", [
+    ("GROUND " + "4" * 4301 + "x", 3),
+    ("GROUND 2\nTYPE LINEAR\nDIM 1\nROW 1 " + "1.5" * 2000, 6),
+    ("GROUND 2\nTYPE LINEAR\nDIM 1\nROW 1 " + "7" * 4000 + "/0", 6),
+    ("GROUND 2\nTYPE LINEAR\nDIM 1\nROW 1 1\n" + "T" * 5000, 7),
+], ids=["bad-int", "malformed-rational", "zero-denominator", "trailing"])
+def test_check_matroid_quotes_a_long_token_briefly(tmp_path, capsys, body,
+                                                   line):
+    bad = tmp_path / "long.matroid"
+    bad.write_text(f"MATROID v1\nNAME z\n{body}\n")
+    assert run(["check-matroid", "--matroid", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: " in err
+    assert max(len(text) for text in err.splitlines()) < 120
+
+
 GOOD_MATROID = "MATROID v1\nNAME g\nGROUND 2\nTYPE GRAPHIC\nVERTICES 2\n" \
                "EDGE 0 1\nEDGE 0 1\n"
 TRUNCATED = {   # keyword -> (matroid file, grid file or None, error line)

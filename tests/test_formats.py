@@ -116,6 +116,28 @@ def test_overlong_rational_is_format_error(tok):
     assert str(info.value) == f"line 6: rational of {len(tok)} characters is too long"
 
 
+# over-long tokens, each in the place of one message that quotes a token
+LINEAR_HEAD = "MATROID v1\nNAME z\nGROUND 2\nTYPE LINEAR\nDIM 1\n"
+LONG_TOKEN_FILES = {
+    "bad-int": ("MATROID v1\nNAME z\nGROUND " + "4" * 4301 + "x\n", 3),
+    "malformed-rational": (LINEAR_HEAD + "ROW 1 " + "1.5" * 2000 + "\n", 6),
+    "zero-denominator": (LINEAR_HEAD + "ROW 1 " + "7" * 4000 + "/0\n", 6),
+    "trailing": (LINEAR_HEAD + "ROW 1 1\n" + "T" * 5000 + "\n", 7),
+    "keyword": ("MATROID v1\n" + "N" * 5000 + " z\n", 2),
+}
+
+
+@pytest.mark.parametrize("text, line", LONG_TOKEN_FILES.values(),
+                         ids=LONG_TOKEN_FILES.keys())
+def test_long_token_is_quoted_by_prefix_and_length(text, line):
+    with pytest.raises(FormatError) as info:
+        parse_matroid(text)
+    assert info.value.line == line
+    message = str(info.value)
+    assert message.startswith(f"line {line}: ") and len(message) < 120
+    assert "characters)" in message
+
+
 def test_malformed_rational_rejected():
     assert err_line("MATROID v1\nNAME z\nGROUND 1\nTYPE LINEAR\nDIM 1\n"
                     "ROW 1.5\n") == 6

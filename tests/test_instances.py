@@ -16,14 +16,14 @@ from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       k4_c2_instance, mcdiarmid_instance, odd_wheel_instance,
                       oxley_j_instance, random_graphic_matroid,
                       random_linear_matroid, random_rota_instance,
-                      serialize_matroid, solve, u39_instance, uniform_matroid,
-                      validate_instance, verify_basis_axioms,
-                      verify_c3_for_matroid)
+                      serialize_matroid, solve, splits_into_bases,
+                      u39_instance, uniform_matroid, validate_instance,
+                      verify_basis_axioms, verify_c3_for_matroid)
 from rotagrid import instances
 from rotagrid.grid import SolveReport
-from rotagrid.instances import (_canonical_maximal_families, _clone_canon,
-                                _clone_classes, _count_families, _row_sets,
-                                _sweep_exhaustive)
+from rotagrid.instances import (_clone_canon, _clone_classes,
+                                _count_families, _orbit_maximal_families,
+                                _row_sets, _sweep_exhaustive)
 from rotagrid.matroid import _integer_column
 
 J_ROW_VECTORS = {
@@ -454,6 +454,42 @@ SMALL_SWEEP_MATROIDS = ["k4", "u26", "u36", "graphic-v4-m6-s0",
                         "linear-r2-m6-s0"]
 
 
+def _canonical_maximal_families(table, indep, n, k, m):
+    """Reference: nondecreasing row masks of every maximal family of n rows,
+    cap k, with no clone reduction.
+
+    `ext[s]` holds the elements outside s that keep s independent (none
+    once s is full), so maximality says the last row contains every element
+    the other rows could still take, and takes nothing more itself.  Each
+    row starts at the previous row's index in `indep`, which keeps the
+    masks nondecreasing.
+    """
+    full = (1 << m) - 1
+    ext = {}
+    for s in indep:
+        ext[s] = 0
+        if table[s] < k:
+            for e in range(m):
+                bit = 1 << e
+                if not s & bit and table[s | bit] > table[s]:
+                    ext[s] |= bit
+
+    def extend(start, used, reach, rows):
+        if len(rows) < n - 1:
+            for i, a in enumerate(indep[start:], start):
+                if not a & used:
+                    yield from extend(i, used | a, reach | ext[a], rows + (a,))
+            return
+        rest = full & ~used
+        need = reach & rest
+        if need in ext:
+            for c in indep[start:]:
+                if not c & ~rest and c & need == need and not ext[c] & rest:
+                    yield rows + (c,)
+
+    yield from extend(0, 0, 0, ())
+
+
 def _is_maximal(oracle, fam, k, m):
     used = frozenset().union(*fam)
     return not any(len(row) < k and oracle.is_independent(row | {e})
@@ -494,16 +530,8 @@ def _clone_key(classes, fam):
                         for row in fam))
 
 
-@pytest.mark.parametrize("key", sorted(set(SWEEP_MATROIDS) - {"k4"}))
-def test_sweep_solves_only_the_maximal_families(key, monkeypatch):
-    """On an all-SAT matroid the sweep solves canonical maximal families
-    only, one for each clone key, and covers every maximal family's key."""
-    import rotagrid.instances as instances
-    oracle = SWEEP_MATROIDS[key]()
-    (n, k, m), table, indep = _shape_and_sets(oracle)
-    maximal = [_row_sets(masks, m)
-               for masks in _canonical_maximal_families(table, indep, n, k, m)]
-    classes = _clone_classes(table, m)
+def _recorded_sweep(oracle, monkeypatch):
+    """The sweep's report and the rows of every family it solved."""
     real_solve = instances.solve
     solved = []
 
@@ -512,11 +540,91 @@ def test_sweep_solves_only_the_maximal_families(key, monkeypatch):
         return real_solve(inst, *args, **kwargs)
 
     monkeypatch.setattr(instances, "solve", recording_solve)
-    assert verify_c3_for_matroid(oracle).unsat == 0
-    assert set(solved) <= set(maximal)
+    return verify_c3_for_matroid(oracle), solved
+
+
+@pytest.mark.parametrize("key", sorted(set(SWEEP_MATROIDS) - {"k4"}))
+def test_sweep_solves_only_the_maximal_families(key, monkeypatch):
+    """On an all-SAT matroid the sweep solves maximal families only, each
+    one up to row order a mask-sorted maximal family, one for each clone
+    key, and covers every maximal family's key."""
+    oracle = SWEEP_MATROIDS[key]()
+    (n, k, m), table, indep = _shape_and_sets(oracle)
+    maximal = [_row_sets(masks, m)
+               for masks in _canonical_maximal_families(table, indep, n, k, m)]
+    classes = _clone_classes(table, m)
+    report, solved = _recorded_sweep(oracle, monkeypatch)
+    assert report.unsat == 0
+    assert ({tuple(sorted(_masks(fam))) for fam in solved}
+            <= {_masks(fam) for fam in maximal})
+    assert all(_is_maximal(oracle, fam, k, m) for fam in solved)
     keys = [_clone_key(classes, fam) for fam in solved]
     assert len(set(keys)) == len(keys)
     assert set(keys) == {_clone_key(classes, fam) for fam in maximal}
+
+
+def _assert_one_family_per_orbit(oracle):
+    """The orbit generator against the reference: every family maximal,
+    no clone key twice, and the reference's keys exactly."""
+    (n, k, m), table, indep = _shape_and_sets(oracle)
+    classes = _clone_classes(table, m)
+    generated = [_row_sets(masks, m) for masks in
+                 _orbit_maximal_families(table, indep, classes, n, k, m)]
+    assert all(_is_maximal(oracle, fam, k, m) for fam in generated)
+    keys = [_clone_key(classes, fam) for fam in generated]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {
+        _clone_key(classes, _row_sets(masks, m))
+        for masks in _canonical_maximal_families(table, indep, n, k, m)}
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_MATROIDS))
+def test_orbit_families_match_the_reference(key):
+    _assert_one_family_per_orbit(SWEEP_MATROIDS[key]())
+
+
+@st.composite
+def sweep_matroids_with_clones(draw):
+    """Rank-n matroids on nk elements that split into k bases, at
+    (n, k) in {(2,2), (3,2), (2,3), (3,3), (4,2)}: uniform ones, unions of
+    k spanning trees (shared edges are parallel, and a vertex that is a
+    leaf of both of two trees carries a series pair), and uniform basis
+    families with parallel copies."""
+    n, k = draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]))
+    kind = draw(st.sampled_from(["uniform", "graphic", "bases"]))
+    if kind == "uniform":
+        return uniform_matroid(n, n * k)
+    if kind == "graphic":
+        edges = [(draw(st.integers(0, v - 1)), v)
+                 for _ in range(k) for v in range(1, n + 1)]
+        return MatroidOracle(GraphicRep(n + 1, tuple(draw(st.permutations(edges)))))
+    # copies of distinct elements: classes of at most 2 <= k, so it splits
+    copies = draw(st.integers(0, n * k // 2))
+    m = n * k - copies
+    bases = {frozenset(b) for b in combinations(range(m), n)}
+    for f, e in enumerate(draw(st.permutations(range(m)))[:copies], m):
+        bases |= {b - {e} | {f} for b in bases if e in b}
+    return MatroidOracle(BasesRep.from_sets(n, bases), ground_size=n * k)
+
+
+@given(sweep_matroids_with_clones())
+@settings(max_examples=80, deadline=None)
+def test_orbit_families_match_the_reference_on_matroids_with_clones(oracle):
+    assert splits_into_bases(oracle, (1 << oracle.ground.size) - 1,
+                             oracle.ground.size // oracle.rank_total)
+    _assert_one_family_per_orbit(oracle)
+
+
+@pytest.mark.parametrize("make, families, solves", [
+    (lambda: uniform_matroid(4, 12), 71965085, 1),
+    (lambda: random_graphic_matroid(5, 12, 0), 28936205, 112),
+], ids=["u412", "graphic-v5-m12-s0"])
+def test_sweep_of_a_rank_4_matroid_on_12_elements(make, families, solves,
+                                                  monkeypatch):
+    report, solved = _recorded_sweep(make(), monkeypatch)
+    assert (report.families, report.sat, report.unsat) == (families,
+                                                           families, 0)
+    assert len(solved) == solves
 
 
 @pytest.mark.parametrize("seed", [2, 4])
