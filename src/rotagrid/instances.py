@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Iterator, Sequence
 
 from .grid import (NOT_REQUIRED, REQUIRED, GridInstance, find_basis_partition,
@@ -319,31 +320,31 @@ def _row_sets(masks: Sequence[int], m: int) -> tuple[frozenset[int], ...]:
 
 
 def _count_families(indep: Sequence[int], n: int, m: int) -> int:
-    """Exact number of families `enumerate_row_families` yields (n rows).
-
-    `indep` lists the independent sets within the size cap.  h[S] counts
-    those inside S (a subset-sum transform), so the last row of a family is
-    any of h[complement] sets; `ways` maps the union of the first rows to
-    the number of ordered prefixes with that union.
+    """Exact number of families `enumerate_row_families` yields: ordered
+    n-tuples of disjoint sets from `indep`, which may be any set of masks.
+    By ranked subset convolution (Bjorklund, Husfeldt, Kaski and Koivisto
+    2007): with F_S(x) the sum of x^|T| over the T in `indep` inside S and
+    P_j the sum of F_S(x)^n over |S| = j, the count is the sum over j of
+    (-1)^(m-j) [x^m] P_j(x) (1+x)^j.  That coefficient counts the n-tuples
+    plus a free (n+1)-th part, all inside S, of total size m; inclusion-
+    exclusion over S keeps those that cover all m elements: disjoint ones.
+    A polynomial is one int with a field of w bits per degree.  Every
+    coefficient is nonnegative and at most the value at x = 1, at most
+    C(m, j) 2^(jn) 2^j <= 2^(m(n+2)) < 2^w, so no field ever overflows.
     """
-    full = (1 << m) - 1
-    h = [0] * (1 << m)
+    w = m * (n + 2) + 1
+    f = [0] * (1 << m)
     for s in indep:
-        h[s] = 1
-    for e in range(m):
-        bit = 1 << e
-        for s in range(1 << m):
-            if s & bit:
-                h[s] += h[s ^ bit]
-    ways = {0: 1}
-    for _ in range(n - 1):
-        grown: dict[int, int] = {}
-        for used, w in ways.items():
-            for a in indep:
-                if not a & used:
-                    grown[a | used] = grown.get(a | used, 0) + w
-        ways = grown
-    return sum(w * h[full & ~used] for used, w in ways.items())
+        f[s] = 1 << w * s.bit_count()
+    for _ in range(m):        # zeta over bit 0, then rotate bit 1 to bit 0
+        low = f[::2]
+        f = low + list(map(add, f[1::2], low))
+    p = [0] * (m + 1)
+    for s, fs in enumerate(f):
+        p[s.bit_count()] += fs ** n
+    field = (1 << w) - 1
+    return sum((-1) ** (m - j) * (pj * (1 + (1 << w)) ** j >> w * m & field)
+               for j, pj in enumerate(p))
 
 
 def _orbit_maximal_families(table: Sequence[int], indep: Sequence[int],
@@ -357,7 +358,9 @@ def _orbit_maximal_families(table: Sequence[int], indep: Sequence[int],
     join a row of size under k and keep it independent.  `ext[s]` holds
     the elements outside s that keep s independent (none once s is full),
     so maximality says the last row contains every element the other rows
-    could still take, and takes nothing more itself.
+    could still take, and takes nothing more itself.  So a prefix is cut
+    once the elements its rows could still take, outside `used`, outnumber
+    the k places in each row left to absorb them.
 
     The families yielded are the class-canonical ones:
     - prefix placement: each row takes, from every clone class, the least
@@ -402,8 +405,10 @@ def _orbit_maximal_families(table: Sequence[int], indep: Sequence[int],
 
     def extend(start: int, used: int, reach: int, rows: tuple) -> Iterator:
         if len(rows) < n - 1:
+            room = k * (n - 1 - len(rows))     # in the rows after row a
             for a, lack, ext, nxt in items[start:]:
-                if not a & used and lack & used == lack:
+                if (not a & used and lack & used == lack
+                        and ((reach | ext) & ~(used | a)).bit_count() <= room):
                     yield from extend(nxt, used | a, reach | ext, rows + (a,))
             return
         rest = full & ~used
@@ -456,7 +461,7 @@ def _clone_canon(classes: Sequence[Sequence[int]], sets: Sequence[int],
     masks = [sum(1 << e for e in cls) for cls in classes]
     firsts = [[sum(1 << e for e in cls[:j]) for j in range(len(cls) + 1)]
               for cls in classes]
-    return {s: sum(first[bin(s & mask).count("1")]
+    return {s: sum(first[(s & mask).bit_count()]
                    for mask, first in zip(masks, firsts))
             for s in sets}
 
@@ -507,7 +512,7 @@ def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepRep
         raise ValueError(f"sweep needs a disjoint union of {k} bases")
 
     table = oracle.build_rank_table()
-    indep = [s for s in range(1 << m) if table[s] == bin(s).count("1") <= k]
+    indep = [s for s in range(1 << m) if table[s] == s.bit_count() <= k]
     classes = _clone_classes(table, m)
     for masks in _orbit_maximal_families(table, indep, classes, n, k, m):
         inst = GridInstance(oracle, n, k, _row_sets(masks, m), REQUIRED)

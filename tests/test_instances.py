@@ -5,7 +5,7 @@ import time
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
@@ -505,7 +505,7 @@ def _shape_and_sets(oracle):
     m, n = oracle.ground.size, oracle.rank_total
     k = m // n
     table = oracle.build_rank_table()
-    indep = [s for s in range(1 << m) if table[s] == bin(s).count("1") <= k]
+    indep = [s for s in range(1 << m) if table[s] == s.bit_count() <= k]
     return (n, k, m), table, indep
 
 
@@ -522,6 +522,85 @@ def test_sweep_counts_and_maximal_families_match_enumeration(key):
                       and _is_maximal(oracle, fam, k, m))
     assert sorted(generated) == expected
     assert len(set(generated)) == len(generated)
+
+
+def reference_count_families(indep, n, m):
+    """Reference: ordered n-tuples of disjoint sets from `indep`, counted by
+    the union of the first n - 1 rows.  h[S] counts the sets inside S (a
+    subset-sum transform), so the last row is any of h[complement] sets;
+    `ways` maps the union of the first rows to the number of ordered
+    prefixes with that union."""
+    full = (1 << m) - 1
+    h = [0] * (1 << m)
+    for s in indep:
+        h[s] = 1
+    for e in range(m):
+        bit = 1 << e
+        for s in range(1 << m):
+            if s & bit:
+                h[s] += h[s ^ bit]
+    ways = {0: 1}
+    for _ in range(n - 1):
+        grown = {}
+        for used, w in ways.items():
+            for a in indep:
+                if not a & used:
+                    grown[a | used] = grown.get(a | used, 0) + w
+        ways = grown
+    return sum(w * h[full & ~used] for used, w in ways.items())
+
+
+def _brute_count_families(sets, n):
+    """Every ordered n-tuple of the sets, kept when no two of them meet."""
+    return sum(1 for rows in product(sets, repeat=n)
+               if not any(a & b for a, b in combinations(rows, 2)))
+
+
+@st.composite
+def set_families(draw, max_size):
+    """Any family of subsets of m <= 8 elements, with or without the empty
+    set and not closed under subsets in general, and a row count n."""
+    m = draw(st.integers(0, 8))
+    sets = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=max_size))
+    return sorted(sets), draw(st.integers(1, 4)), m
+
+
+@given(set_families(max_size=9))
+@example(([], 2, 3))                        # no sets, so no tuple
+@example(([0b0011, 0b0110, 0b1100], 2, 4))  # no empty set, not hereditary
+@example(([0, 0b111], 3, 3))                # the empty set in many rows
+@settings(max_examples=200, deadline=None)
+def test_family_count_matches_brute_force_on_any_set_family(case):
+    sets, n, m = case
+    expected = _brute_count_families(sets, n)
+    assert reference_count_families(sets, n, m) == expected
+    assert _count_families(sets, n, m) == expected
+
+
+@given(set_families(max_size=256))
+@settings(max_examples=200, deadline=None)
+def test_family_count_matches_the_reference_on_any_set_family(case):
+    sets, n, m = case
+    assert _count_families(sets, n, m) == reference_count_families(sets, n, m)
+
+
+def test_family_count_of_every_subset_is_every_assignment():
+    """With every subset allowed, a family is an assignment of each element
+    to one of n rows or none, and the coefficients come nearest the field
+    width's bound."""
+    for m in range(13):
+        for n in range(1, 5):
+            assert _count_families(range(1 << m), n, m) == (n + 1) ** m
+
+
+@pytest.mark.parametrize("make, families", [
+    (lambda: uniform_matroid(4, 12), 71965085),
+    (lambda: random_linear_matroid(4, 12, 0), 71965085),
+    (lambda: random_graphic_matroid(5, 12, 0), 28936205),
+], ids=["u412", "linear-r4-m12-s0", "graphic-v5-m12-s0"])
+def test_family_count_of_rank_4_matroids_on_12_elements(make, families):
+    (n, _, m), _, indep = _shape_and_sets(make())
+    assert _count_families(indep, n, m) == families
 
 
 def _clone_key(classes, fam):
