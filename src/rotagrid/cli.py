@@ -18,8 +18,8 @@ from pathlib import Path
 from . import __version__
 from .descent import (CounterexampleCertificate, RotaInstance, descent_step,
                       initial_double_partition, mu, rota_solve)
-from .formats import (instance_digest, matroid_digest, parse_grid_instance,
-                      parse_matroid, write_instance_files)
+from .formats import (instance_digest, matroid_digest, parse_file,
+                      parse_grid_instance, parse_matroid, write_instance_files)
 from .grid import (GridInstance, find_basis_partition, solve,
                    validate_instance)
 from .instances import (builtin_instance, builtin_names, c3_catalog,
@@ -51,17 +51,13 @@ def _load_instance(args) -> GridInstance:
     if not args.grid_instance:
         raise CliError("missing --grid-instance PATH")
     path = Path(args.grid_instance)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-    return parse_grid_instance(text, base_dir=path.parent)
+    return parse_file(path, parse_grid_instance, base_dir=path.parent)
 
 
 def _load_matroid_or_builtin(source: str) -> MatroidOracle:
     p = Path(source)
     if p.exists():
-        return parse_matroid(p.read_text(encoding="utf-8"))
+        return parse_file(p, parse_matroid)
     try:
         return builtin_instance(source).instance.matroid
     except KeyError:
@@ -76,17 +72,16 @@ def _rota_instance_from_args(args) -> RotaInstance:
     if not args.matroid:
         raise CliError("rota needs --grid-instance or --matroid")
     p = Path(args.matroid)
-    if not p.exists():
+    if p.exists():
+        oracle = parse_file(p, parse_matroid)
+    else:
         try:
-            named = builtin_instance(args.matroid)
+            named = builtin_instance(args.matroid).instance
         except KeyError:
             raise CliError(f"unknown matroid {args.matroid!r}") from None
-        oracle = named.instance.matroid
-        rows = named.instance.rows
-        if sum(len(r) for r in rows) == oracle.ground.size:
-            return RotaInstance(oracle, rows)
-    else:
-        oracle = parse_matroid(p.read_text(encoding="utf-8"))
+        oracle = named.matroid
+        if sum(len(r) for r in named.rows) == oracle.ground.size:
+            return RotaInstance(oracle, named.rows)
     n = oracle.rank_total
     if oracle.ground.size != n * n:
         raise CliError(f"rota needs rank^2 elements; matroid has rank {n} "
@@ -250,11 +245,7 @@ def _cmd_instance(args) -> int:
 
 def _cmd_check_matroid(args) -> int:
     path = Path(args.matroid)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-    oracle = parse_matroid(text, check_exchange=False)
+    oracle = parse_file(path, parse_matroid, check_exchange=False)
     digest = matroid_digest(oracle)
     result = {"name": oracle.name, "elements": oracle.ground.size,
               "rank": oracle.rank_total, "ok": True, "violation": None}

@@ -39,11 +39,32 @@ from .matroid import (BasesRep, GraphicRep, LinearRep, MatroidOracle,
 
 
 class FormatError(ValueError):
-    """Malformed input file; carries a 1-based line number."""
+    """Malformed or unreadable input file: a 1-based line number (None if
+    unreadable) and, when known, the path, whose last part the message names."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    def __init__(self, line: int | None, message: str, path: Path | None = None):
+        where = "" if line is None else f"line {line}: "
+        super().__init__(("" if path is None else f"{path.name}: ") + where + message)
+        self.line, self.message, self.path = line, message, path
+
+
+def parse_file(path: Path | str, parse, **options):
+    """`parse(text, **options)` on the UTF-8 text of the file at `path`.
+    Failing to read, decode or parse it raises a FormatError that names the
+    file; an error in a file that it references names that file instead."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+        return parse(data.decode("utf-8"), **options)
+    except OSError as exc:
+        raise FormatError(None, f"cannot read: {exc.strerror or exc}", path) from None
+    except UnicodeDecodeError as exc:  # the bad byte ends the text before it
+        line = len((data[:exc.start].decode("utf-8") + "|").splitlines())
+        raise FormatError(line, f"not UTF-8 (byte 0x{data[exc.start]:02x})", path) from None
+    except FormatError as exc:
+        if exc.path is not None:  # raised for a file that this one references
+            raise
+        raise FormatError(exc.line, exc.message, path) from None
 
 
 class _Lines:
@@ -234,12 +255,7 @@ def parse_grid_instance(text: str, base_dir: Path | str = ".",
         raise FormatError(no, "MATROID takes a path")
     path = " ".join(toks[1:])
     if matroid is None:
-        target = Path(base_dir) / path
-        try:
-            matroid_text = target.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise FormatError(no, f"cannot read matroid file {path!r}: {exc}") from None
-        matroid = parse_matroid(matroid_text)
+        matroid = parse_file(Path(base_dir) / path, parse_matroid)
     no, n = lines.take_int("ROWS", "row count")
     if n < 0:
         raise FormatError(no, "dimensions must be nonnegative")

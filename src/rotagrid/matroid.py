@@ -5,14 +5,16 @@ edge lists of a multigraph (graphic), and an explicit family of bases.
 Elements are always dense integer indices 0..m-1; display names are
 metadata only.  Each representation decides independence in exactly one
 place, its incremental tester; every rank, rank table and loop is computed
-through that tester.  Parallel classes come from a key read off the
-representation (a column's primitive direction, an edge's endpoints, the
-bases through an element), which the tests check against the tester.  All
-arithmetic is exact -- the linear tester eliminates over integers
-(Bareiss), never floating point.  It packs each integer column into one int
-of signed fields wide enough for every minor, so an elimination step is a
-few operations on whole ints; an oracle packs its columns once and hands
-them to its restrictions.
+through that tester.  A full 2^m rank table is built only where a caller
+asks for one (`build_rank_table`: the sweep, row-family enumeration, brute
+force counts, the axiom audit); once built, ranks and testers read it.
+Parallel classes come from a key read off the representation (a column's
+primitive direction, an edge's endpoints, the bases through an element),
+which the tests check against the tester.  All arithmetic is exact -- the
+linear tester eliminates over integers (Bareiss), never floating point.  It
+packs each integer column into one int of signed fields wide enough for
+every minor, so an elimination step is a few operations on whole ints; an
+oracle packs its columns once and hands them to its restrictions.
 """
 
 from __future__ import annotations
@@ -129,10 +131,6 @@ class BasesRep:
 
 Representation = LinearRep | GraphicRep | BasesRep
 
-# Solver testers read a full 2^m rank table up to this ground-set size;
-# beyond it they run the representation's own tester.
-TABLE_SIZE_CAP = 10
-
 
 class MatroidOracle:
     """Immutable exact rank oracle over one representation.
@@ -165,7 +163,7 @@ class MatroidOracle:
             self._ceiling = rep.dim
         else:
             self._ceiling = rep.vertices - 1
-        self.rank_total = self.rank(range(m))
+        self.rank_total = self._rank_mask((1 << m) - 1)
 
     @property
     def size(self) -> int:
@@ -192,7 +190,7 @@ class MatroidOracle:
 
     def _rank_mask(self, mask: int) -> int:
         # the greedily grown independent subset is a basis of the mask
-        tester = _rep_tester(self)
+        tester = tester_for(self)
         rank = 0
         for e in _bits(mask):
             if rank == self._ceiling:
@@ -300,7 +298,7 @@ class MatroidOracle:
             if m > 12:
                 raise ValueError("rank table limited to 12 elements")
             table = [0] * (1 << m)
-            tester = _rep_tester(self)
+            tester = tester_for(self)
             ceiling = self._ceiling
 
             def extend(mask: int, start: int) -> None:
@@ -324,7 +322,7 @@ class MatroidOracle:
 
 
 def _bits(mask: int) -> list[int]:
-    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+    return [e for e, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
 
 
 def _mask(elems: Iterable[int]) -> int:
@@ -614,17 +612,11 @@ class BasesTester:
 
 
 def tester_for(oracle: MatroidOracle):
-    """Fresh incremental tester; table-backed when the oracle is small."""
-    if oracle._table is None and oracle.ground.size <= TABLE_SIZE_CAP:
-        oracle.build_rank_table()
+    """Fresh incremental tester: over the rank table if a caller has built
+    one, else over the representation itself, the one place each
+    representation decides independence.  It never builds a table."""
     if oracle._table is not None:
         return TableTester(oracle._table)
-    return _rep_tester(oracle)
-
-
-def _rep_tester(oracle: MatroidOracle):
-    """Fresh tester over the representation itself: the one place each
-    representation decides independence."""
     rep = oracle.rep
     if isinstance(rep, LinearRep):
         return LinearTester((), oracle._packing)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -256,8 +257,45 @@ def test_non_matroid_basis_family_is_input_error(tmp_path, capsys):
         assert "line 6: not a matroid" in capsys.readouterr().err
 
 
-def test_missing_file_is_usage_error(tmp_path):
-    assert run(["solve", "--grid-instance", str(tmp_path / "nope.grid")]) == 2
+def test_missing_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nope.grid"
+    assert run(["solve", "--grid-instance", str(missing)]) == 2
+    assert "error: nope.grid: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_non_utf8_file_names_its_path_and_line(tmp_path, capsys, newline):
+    bad = tmp_path / "latin1.matroid"
+    bad.write_bytes(newline.join(["MATROID v1", "NAME caf\xe9", "GROUND 1",
+                                  "TYPE BASES", "RANK 1", "BASIS 0"]).encode("latin-1"))
+    assert run(["check-matroid", "--matroid", str(bad)]) == 2
+    assert "error: latin1.matroid: line 2: not UTF-8 (byte 0xe9)" in capsys.readouterr().err
+
+
+def test_referenced_matroid_errors_name_the_matroid_file(tmp_path, capsys):
+    grid = tmp_path / "g.grid"
+    grid.write_text("GRIDINSTANCE v1\nMATROID m.matroid\nROWS 1\nCOLS 2\n"
+                    "INDEPENDENCE REQUIRED\nROW 0:\n")
+    matroid = tmp_path / "m.matroid"
+    for body, message in [
+            (None, "cannot read"),
+            (b"MATROID v1\nNAME \xff\n", "line 2: not UTF-8 (byte 0xff)"),
+            ((GOOD_MATROID + "EDGE 0 1\n").encode(),
+             "line 8: unexpected trailing content 'EDGE'")]:
+        if body is not None:
+            matroid.write_bytes(body)
+        assert run(["solve", "--grid-instance", str(grid)]) == 2
+        assert f"error: m.matroid: {message}" in capsys.readouterr().err
+
+
+def test_a_huge_ground_set_checks_at_once(tmp_path):
+    # one basis {0} of rank 1 among a million elements
+    big = tmp_path / "big.matroid"
+    big.write_text("MATROID v1\nNAME big\nGROUND 1000000\nTYPE BASES\n"
+                   "RANK 1\nBASIS 0\n")
+    start = time.perf_counter()
+    assert run(["check-matroid", "--matroid", str(big)]) == 0
+    assert time.perf_counter() - start < 5
 
 
 # --- console entry point ----------------------------------------------------------------

@@ -15,9 +15,10 @@ from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       brute_force_count, builtin_instance, c3_catalog,
                       count_solutions, enumerate_bases, find_basis_partition,
                       is_disjoint_union_of_bases, k4_c2_instance,
-                      mcdiarmid_instance, random_linear_matroid, solve,
-                      splits_into_bases, uniform_matroid, validate_grid,
-                      validate_instance)
+                      mcdiarmid_instance, random_graphic_matroid,
+                      random_linear_matroid, solve, splits_into_bases,
+                      uniform_matroid, validate_grid, validate_instance,
+                      verify_c3_for_matroid)
 from rotagrid.matroid import tester_for as make_tester
 
 
@@ -500,6 +501,25 @@ def test_solve_deterministic():
     inst = u39_inst(rows=((0, 3), (4,), (8,)))
     a, b = solve(inst), solve(inst)
     assert (a.status, a.grid, a.count, a.nodes) == (b.status, b.grid, b.count, b.nodes)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_matroid(3, 9), lambda: random_linear_matroid(3, 9, 0),
+    lambda: random_graphic_matroid(4, 9, 0)], ids=["bases", "linear", "graphic"])
+def test_only_a_caller_that_needs_every_rank_builds_a_table(make):
+    # the solver, the partition searches, loops and parallel classes run on
+    # the representation's tester; the sweep reads the whole table
+    oracle = make()
+    inst = GridInstance(oracle, 3, 3, (frozenset({0}), frozenset(), frozenset()))
+    for mode in ("decide", "count"):
+        solve(inst, mode=mode)
+    assert find_basis_partition(oracle, 3) is not None
+    assert splits_into_bases(oracle, (1 << 9) - 1, 3)
+    oracle.loops()
+    oracle.parallel_classes()
+    assert oracle._table is None
+    verify_c3_for_matroid(oracle)
+    assert oracle._table is not None
 
 
 def test_symmetry_breaking_preserves_answers():

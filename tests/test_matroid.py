@@ -21,7 +21,7 @@ from rotagrid import (BasesRep, GraphicRep, GroundSet, LinearRep,
                       rank_axiom_violations, uniform_matroid,
                       verify_basis_axioms)
 from rotagrid import matroid as matroid_module
-from rotagrid.matroid import TABLE_SIZE_CAP, LinearTester, _rep_tester
+from rotagrid.matroid import LinearTester, TableTester, _bits
 from rotagrid.matroid import tester_for as make_tester
 
 J_VECTORS = [(-2, 3, 0, 1), (0, 0, 1, 1), (0, 2, 0, 1), (1, 0, 3, 1),
@@ -106,7 +106,7 @@ def reference_rank_table(oracle):
     non-empty masks, with no shortcut at the ceiling."""
     m = oracle.ground.size
     table = [0] * (1 << m)
-    tester = _rep_tester(oracle)
+    tester = make_tester(oracle)
 
     def extend(mask, start):
         for e in range(start, m):
@@ -387,14 +387,14 @@ class CountingTester:
 def test_rank_table_fills_full_rank_subtrees(monkeypatch):
     # the plain walk makes 511 and 4,095 calls on these
     oracles = [uniform_matroid(3, 9), random_linear_matroid(4, 12, 0)]
-    rep_tester = matroid_module._rep_tester
+    tester_for = matroid_module.tester_for
     made = []
 
     def counting(oracle):
-        made.append(CountingTester(rep_tester(oracle)))
+        made.append(CountingTester(tester_for(oracle)))
         return made[-1]
 
-    monkeypatch.setattr(matroid_module, "_rep_tester", counting)
+    monkeypatch.setattr(matroid_module, "tester_for", counting)
     for oracle in oracles:
         oracle.build_rank_table()
     assert [t.calls for t in made] == [129, 813]
@@ -517,12 +517,14 @@ def endpoint_classes(edges):
 @given(graphic_reps)
 @settings(max_examples=100, deadline=None)
 def test_loops_and_parallel_classes_by_endpoints(rep):
-    # the doubled edge list passes TABLE_SIZE_CAP once it has 6 or more edges
-    for edges in (rep.edges, rep.edges * 2):
-        oracle = MatroidOracle(GraphicRep(rep.vertices, edges))
-        loops, classes = endpoint_classes(edges)
+    # on the graphic tester, then on the rank table
+    loops, classes = endpoint_classes(rep.edges)
+    fresh, tabled = MatroidOracle(rep), MatroidOracle(rep)
+    tabled.build_rank_table()
+    for oracle in (fresh, tabled):
         assert oracle.loops() == loops
         assert oracle.parallel_classes() == classes
+    assert fresh._table is None
 
 
 # non-integer rationals: Bareiss runs on integers, so these must be scaled
@@ -602,10 +604,12 @@ def test_linear_tester_scripts_match_minor_rank(cols, script):
     greedy = MatroidOracle(rep)            # never builds a table
     solver_side = MatroidOracle(rep)
     testers = [LinearTester(rep.columns),   # the layer probe's direct call
-               _rep_tester(solver_side),    # over the oracle's scaled columns
-               # table-backed up to TABLE_SIZE_CAP, a LinearTester past it
-               make_tester(solver_side)]
-    assert isinstance(testers[-1], LinearTester) == (m > TABLE_SIZE_CAP)
+               make_tester(solver_side)]    # over the oracle's scaled columns
+    assert isinstance(testers[-1], LinearTester)
+    if m <= 12:
+        solver_side.build_rank_table()
+        testers.append(make_tester(solver_side))
+        assert isinstance(testers[-1], TableTester)
     current: list[int] = []
     verdicts: dict[frozenset, bool] = {}
 
@@ -761,13 +765,20 @@ def test_linear_tester_is_exact_on_rational_columns():
             (Fraction(5, 6), Fraction(2, 15), Fraction(2, 5)),
             (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))]
     for tester in (LinearTester(cols),
-                   _rep_tester(MatroidOracle(LinearRep.from_columns(cols)))):
+                   make_tester(MatroidOracle(LinearRep.from_columns(cols)))):
         tester.push(0)
         tester.push(1)
         assert not tester.can_add(2)
         assert tester.can_add(3)
         tester.push(3)
         assert [tester.can_add(e) for e in range(4)] == [False] * 4
+
+
+@given(st.one_of(st.integers(0, 1 << 12), st.integers(0, 1 << 200)))
+@settings(max_examples=300, deadline=None)
+def test_bits_lists_the_set_bits_in_order(mask):
+    # the bit-by-bit scan that the string scan replaced
+    assert _bits(mask) == [e for e in range(mask.bit_length()) if mask >> e & 1]
 
 
 @given(st.integers(0, 4), st.integers(1, 6))
