@@ -1,11 +1,12 @@
-"""Command-line surface.
+"""Command-line surface: each subcommand's handler calls the library and
+reports what it returns.
 
 Subcommands: solve, count, rota, descent-step, verify-c3, instance,
 check-matroid.  Exit codes: 0 = solvable / verified / OK, 1 = unsolvable or
-counterexample found, 2 = usage or input error, 3 = undecided within the
-node budget.  Every command accepts ``--json PATH`` to write a
-machine-readable run report conforming to the schema shipped as
-``report_schema.json``.
+counterexample found (``rota`` and ``descent-step`` export it as certificate
+files), 2 = usage or input error, including any ``ValueError`` the library
+raises, 3 = undecided within the node budget.  Every command accepts
+``--json PATH`` to write a run report conforming to ``report_schema.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class CliError(Exception):
 
 
 def _write_report(args, kind: str, digest: str | None, result: dict) -> None:
-    if not getattr(args, "json", None):
+    if not args.json:
         return
     report = {
         "command": list(args._argv),
@@ -54,15 +55,17 @@ def _load_instance(args) -> GridInstance:
     return parse_file(path, parse_grid_instance, base_dir=path.parent)
 
 
-def _load_matroid_or_builtin(source: str) -> MatroidOracle:
+def _matroid_source(source: str) -> tuple[MatroidOracle, tuple | None]:
+    """A matroid file's oracle, or a built-in instance's oracle and rows."""
     p = Path(source)
     if p.exists():
-        return parse_file(p, parse_matroid)
+        return parse_file(p, parse_matroid), None
     try:
-        return builtin_instance(source).instance.matroid
+        named = builtin_instance(source).instance
     except KeyError:
         raise CliError(f"{source!r} is neither a matroid file nor a built-in "
                        f"instance ({', '.join(builtin_names())})") from None
+    return named.matroid, named.rows
 
 
 def _rota_instance_from_args(args) -> RotaInstance:
@@ -71,17 +74,9 @@ def _rota_instance_from_args(args) -> RotaInstance:
         return RotaInstance(inst.matroid, inst.rows)
     if not args.matroid:
         raise CliError("rota needs --grid-instance or --matroid")
-    p = Path(args.matroid)
-    if p.exists():
-        oracle = parse_file(p, parse_matroid)
-    else:
-        try:
-            named = builtin_instance(args.matroid).instance
-        except KeyError:
-            raise CliError(f"unknown matroid {args.matroid!r}") from None
-        oracle = named.matroid
-        if sum(len(r) for r in named.rows) == oracle.ground.size:
-            return RotaInstance(oracle, named.rows)
+    oracle, rows = _matroid_source(args.matroid)
+    if rows is not None and sum(map(len, rows)) == oracle.ground.size:
+        return RotaInstance(oracle, rows)
     n = oracle.rank_total
     if oracle.ground.size != n * n:
         raise CliError(f"rota needs rank^2 elements; matroid has rank {n} "
@@ -104,7 +99,7 @@ def _load_rota_instance(args) -> tuple[RotaInstance, str]:
 
 
 def _check_hypotheses(args, inst: GridInstance) -> None:
-    if getattr(args, "skip_hypothesis_check", False):
+    if args.skip_hypothesis_check:
         return
     check = validate_instance(inst)
     if not check:
@@ -134,35 +129,28 @@ def _cmd_solve(args, mode: str) -> int:
     return OK if report.status == "SAT" else FOUND_COUNTEREXAMPLE
 
 
-def _export_certificate(cert, directory: Path, stem: str) -> list[str]:
-    paths = write_instance_files(cert.instance, directory, stem)
-    return [str(p) for p in paths]
+def _report_certificate(args, kind: str, digest: str, result: dict,
+                        cert: CounterexampleCertificate) -> int:
+    """Export an unsolvable block subproblem, name its files, report it."""
+    files = [str(p) for p in write_instance_files(cert.instance, args.out,
+                                                  "certificate")]
+    print("CERTIFICATE: a block subproblem is unsolvable; exported to "
+          + ", ".join(files))
+    _write_report(args, kind, digest, {**result, "certificate_files": files})
+    return FOUND_COUNTEREXAMPLE
 
 
 def _cmd_rota(args) -> int:
     inst, digest = _load_rota_instance(args)
     trace = rota_solve(inst, k=args.k)
-    if trace.grid is not None:
-        print(f"GRID after {len(trace.steps)} descent steps")
-        for row in trace.grid:
-            print(" ".join(str(e) for e in row))
-        _write_report(args, "rota", digest, {
-            "status": "GRID",
-            "grid": [list(r) for r in trace.grid],
-            "steps": [s.to_dict() for s in trace.steps],
-        })
-        return OK
-    files = _export_certificate(trace.certificate, Path(args.out),
-                                "certificate")
-    print("CERTIFICATE: a block subproblem is unsolvable; exported to "
-          + ", ".join(files))
-    _write_report(args, "rota", digest, {
-        "status": "CERTIFICATE",
-        "grid": None,
-        "steps": [s.to_dict() for s in trace.steps],
-        "certificate_files": files,
-    })
-    return FOUND_COUNTEREXAMPLE
+    if trace.grid is None:
+        return _report_certificate(args, "rota", digest, trace.to_dict(),
+                                   trace.certificate)
+    print(f"GRID after {len(trace.steps)} descent steps")
+    for row in trace.grid:
+        print(" ".join(str(e) for e in row))
+    _write_report(args, "rota", digest, trace.to_dict())
+    return OK
 
 
 def _cmd_descent_step(args) -> int:
@@ -173,17 +161,11 @@ def _cmd_descent_step(args) -> int:
         _write_report(args, "descent-step", digest,
                       {"mu": 0, "step": None})
         return OK
-    if inst.n < 3 or args.k < 3 or args.k > inst.n:
-        raise CliError(f"descent needs 3 <= k <= n; got k={args.k}, n={inst.n}")
     outcome = descent_step(inst, dp, k=args.k)
     if isinstance(outcome, CounterexampleCertificate):
-        files = _export_certificate(outcome, Path(args.out), "certificate")
-        print("CERTIFICATE: block subproblem unsolvable; exported to "
-              + ", ".join(files))
-        _write_report(args, "descent-step", digest, {
-            "mu": mu(dp), "step": None, "certificate_files": files})
-        return FOUND_COUNTEREXAMPLE
-    new_dp, step = outcome
+        return _report_certificate(args, "descent-step", digest,
+                                   {"mu": mu(dp), "step": None}, outcome)
+    _, step = outcome
     print(f"block {list(step.block)}: mu {step.mu_before} -> {step.mu_after} "
           f"({step.report.nodes} nodes)")
     _write_report(args, "descent-step", digest,
@@ -193,7 +175,7 @@ def _cmd_descent_step(args) -> int:
 
 def _cmd_verify_c3(args) -> int:
     if args.matroid:
-        oracle = _load_matroid_or_builtin(args.matroid)
+        oracle, _ = _matroid_source(args.matroid)
         oracles = [oracle]
         digest = matroid_digest(oracle)
     else:
@@ -203,10 +185,7 @@ def _cmd_verify_c3(args) -> int:
     reports = []
     total_unsat = 0
     for oracle in oracles:
-        try:
-            rep = verify_c3_for_matroid(oracle)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        rep = verify_c3_for_matroid(oracle)
         reports.append(rep)
         total_unsat += rep.unsat
         print(f"{rep.matroid}: {rep.families} families, {rep.sat} solvable, "
@@ -227,7 +206,7 @@ def _cmd_verify_c3(args) -> int:
 def _cmd_instance(args) -> int:
     try:
         named = builtin_instance(args.name)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise CliError(str(exc)) from None
     matroid_path, grid_path = write_instance_files(named.instance, args.out,
                                                    named.name)
@@ -244,26 +223,27 @@ def _cmd_instance(args) -> int:
 
 
 def _cmd_check_matroid(args) -> int:
+    if not args.matroid:
+        raise CliError("check-matroid needs --matroid PATH")
     path = Path(args.matroid)
     oracle = parse_file(path, parse_matroid, check_exchange=False)
     digest = matroid_digest(oracle)
     result = {"name": oracle.name, "elements": oracle.ground.size,
               "rank": oracle.rank_total, "ok": True, "violation": None}
-    if isinstance(oracle.rep, BasesRep):
-        violation = find_exchange_violation(oracle.rep.bases)
-        if violation is not None:
-            a, x, b = violation
-            result["ok"] = False
-            result["violation"] = {
-                "basis": sorted(a), "removed": x, "against": sorted(b)}
-            print(f"exchange axiom violated: no replacement for {x} in "
-                  f"{sorted(a)} from {sorted(b)}")
-            _write_report(args, "check-matroid", digest, result)
-            return FOUND_COUNTEREXAMPLE
-    print(f"OK: {oracle.name or path.name} has {oracle.ground.size} elements, "
-          f"rank {oracle.rank_total}")
+    violation = (find_exchange_violation(oracle.rep.bases)
+                 if isinstance(oracle.rep, BasesRep) else None)
+    if violation is None:
+        print(f"OK: {oracle.name or path.name} has {oracle.ground.size} "
+              f"elements, rank {oracle.rank_total}")
+    else:
+        a, x, b = violation
+        result["ok"] = False
+        result["violation"] = {
+            "basis": sorted(a), "removed": x, "against": sorted(b)}
+        print(f"exchange axiom violated: no replacement for {x} in "
+              f"{sorted(a)} from {sorted(b)}")
     _write_report(args, "check-matroid", digest, result)
-    return OK
+    return OK if violation is None else FOUND_COUNTEREXAMPLE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact matroid grid-completion toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, grid_instance=False, matroid=False, k=False,
-                   seed=False, out=False, skip=False, budget=False):
+    def command(name, run, help, grid_instance=False, matroid=False, k=False,
+                seed=False, out=False, skip=False, budget=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         if grid_instance:
             p.add_argument("--grid-instance", metavar="PATH")
         if matroid:
@@ -289,57 +271,36 @@ def build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--node-budget", type=int, metavar="N")
         p.add_argument("--json", metavar="PATH")
+        return p
 
-    p = sub.add_parser("solve", help="decide a grid instance")
-    add_common(p, grid_instance=True, skip=True, budget=True)
-    p.add_argument("--mode", choices=["decide", "count"], default="decide")
-
-    p = sub.add_parser("count", help="count all grids of an instance")
-    add_common(p, grid_instance=True, skip=True, budget=True)
-
-    p = sub.add_parser("rota", help="full-row instance via potential descent")
-    add_common(p, grid_instance=True, matroid=True, k=True, out=True)
-
-    p = sub.add_parser("descent-step", help="run a single descent step")
-    add_common(p, grid_instance=True, matroid=True, k=True, out=True)
-
-    p = sub.add_parser("verify-c3",
-                       help="sweep all row families over <= 12 elements")
-    add_common(p, matroid=True, seed=True)
+    command("solve", lambda args: _cmd_solve(args, "decide"),
+            "decide a grid instance", grid_instance=True, skip=True,
+            budget=True)
+    command("count", lambda args: _cmd_solve(args, "count"),
+            "count all grids of an instance", grid_instance=True, skip=True,
+            budget=True)
+    command("rota", _cmd_rota, "full-row instance via potential descent",
+            grid_instance=True, matroid=True, k=True, out=True)
+    command("descent-step", _cmd_descent_step, "run a single descent step",
+            grid_instance=True, matroid=True, k=True, out=True)
+    p = command("verify-c3", _cmd_verify_c3,
+                "sweep all row families over <= 12 elements", matroid=True,
+                seed=True)
     p.add_argument("--linear", type=int, default=25, metavar="N")
     p.add_argument("--graphic", type=int, default=25, metavar="N")
-
-    p = sub.add_parser("instance", help="materialize a built-in instance")
+    p = command("instance", _cmd_instance, "materialize a built-in instance",
+                out=True)
     p.add_argument("name", help=", ".join(builtin_names()))
-    add_common(p, out=True)
-
-    p = sub.add_parser("check-matroid", help="parse and audit a matroid file")
-    add_common(p, matroid=True)
+    command("check-matroid", _cmd_check_matroid,
+            "parse and audit a matroid file", matroid=True)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = ["rotagrid", *argv]
     try:
-        if args.cmd == "solve":
-            return _cmd_solve(args, args.mode)
-        if args.cmd == "count":
-            return _cmd_solve(args, "count")
-        if args.cmd == "rota":
-            return _cmd_rota(args)
-        if args.cmd == "descent-step":
-            return _cmd_descent_step(args)
-        if args.cmd == "verify-c3":
-            return _cmd_verify_c3(args)
-        if args.cmd == "instance":
-            return _cmd_instance(args)
-        if args.cmd == "check-matroid":
-            if not args.matroid:
-                raise CliError("check-matroid needs --matroid PATH")
-            return _cmd_check_matroid(args)
-        raise CliError(f"unknown command {args.cmd!r}")
+        return args.run(args)
     except (CliError, OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -24,7 +24,6 @@ first-class certificate, never an error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -201,16 +200,9 @@ class CounterexampleCertificate:
     fixed-block grid conjecture, so an exhausted search here refutes the
     conjecture and must be exported for independent replay."""
 
-    matroid: MatroidOracle                 # the restricted oracle
+    instance: GridInstance                 # on the restricted oracle
     bases: tuple[frozenset[int], ...]      # its k disjoint bases (sub indices)
-    rows: tuple[frozenset[int], ...]       # the row sets I_1..I_n (sub indices)
     report: SolveReport
-    parent_elements: tuple[int, ...]
-
-    @property
-    def instance(self) -> GridInstance:
-        n = len(self.rows)
-        return GridInstance(self.matroid, n, len(self.bases), self.rows, REQUIRED)
 
 
 @dataclass(frozen=True)
@@ -241,12 +233,13 @@ class DescentTrace:
     certificate: CounterexampleCertificate | None
     direct_report: SolveReport | None = None   # set for the n <= 2 direct solve
 
-    @property
-    def succeeded(self) -> bool:
-        return self.grid is not None
-
-    def to_json(self) -> str:
-        return json.dumps([s.to_dict() for s in self.steps], indent=2)
+    def to_dict(self) -> dict:
+        """The `rota` report's result: status, grid and serialized steps."""
+        return {
+            "status": "CERTIFICATE" if self.grid is None else "GRID",
+            "grid": None if self.grid is None else [list(r) for r in self.grid],
+            "steps": [s.to_dict() for s in self.steps],
+        }
 
 
 Solver = Callable[[GridInstance], SolveReport]
@@ -279,10 +272,7 @@ def _step(inst: RotaInstance, dp: DoublePartition, mu_before: int, k: int,
             frozenset(i for i, e in enumerate(sub.parent_elements)
                       if e in dp.beta[b])
             for b in block)
-        return CounterexampleCertificate(
-            matroid=sub.instance.matroid, bases=beta_sub,
-            rows=sub.instance.rows, report=report,
-            parent_elements=sub.parent_elements)
+        return CounterexampleCertificate(sub.instance, beta_sub, report)
     new_dp = rebuild(inst, dp, sub, report.grid)
     mu_after = mu(new_dp)
     if mu_after >= mu_before:
@@ -308,10 +298,7 @@ def rota_solve(inst: RotaInstance, k: int = 3,
         report = solver(direct)
         if report.status == "SAT":
             return DescentTrace((), report.grid, None, direct_report=report)
-        cert = CounterexampleCertificate(
-            matroid=inst.matroid, bases=inst.bases, rows=inst.bases,
-            report=report,
-            parent_elements=tuple(range(inst.matroid.ground.size)))
+        cert = CounterexampleCertificate(direct, inst.bases, report)
         return DescentTrace((), None, cert, direct_report=report)
     if k > n:
         raise ValueError(f"block size {k} exceeds n = {n}")

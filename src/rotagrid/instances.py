@@ -213,16 +213,16 @@ def builtin_instance(name: str) -> NamedInstance:
 # ---------------------------------------------------------------------------
 # catalog generators
 
-def _linear_draw(rank: int, m: int, seed: int, entry_bound: int = 2):
+def _linear_draw(rank: int, m: int, seed: int):
     """`random_linear_matroid`'s draw together with its least partition."""
     if m % rank != 0:
         raise ValueError("element count must be a multiple of the rank")
     rng = random.Random(seed)
     # one shared Fraction per entry value; the integer columns themselves
     # are what the oracle would scale the Fraction columns back to
-    exact = {v: Fraction(v) for v in range(-entry_bound, entry_bound + 1)}
+    exact = {v: Fraction(v) for v in range(-2, 3)}
     while True:
-        ints = tuple(tuple([rng.randint(-entry_bound, entry_bound)
+        ints = tuple(tuple([rng.randint(-2, 2)
                             for _ in range(rank)]) for _ in range(m))
         cols = tuple(tuple([exact[v] for v in col]) for col in ints)
         oracle = MatroidOracle(LinearRep(rank, cols), _columns=ints,
@@ -232,15 +232,14 @@ def _linear_draw(rank: int, m: int, seed: int, entry_bound: int = 2):
             return oracle, parts
 
 
-def random_linear_matroid(rank: int, m: int, seed: int,
-                          entry_bound: int = 2) -> MatroidOracle:
-    """Seeded random integer-entry rank-`rank` matroid on m elements.
+def random_linear_matroid(rank: int, m: int, seed: int) -> MatroidOracle:
+    """Seeded random rank-`rank` matroid on m columns with entries in -2..2.
 
     Redraws until the full column set has the requested rank and the ground
     set splits into m/rank disjoint bases, so every generated matroid is a
     valid grid-instance carrier.  Same seed, same matroid.
     """
-    return _linear_draw(rank, m, seed, entry_bound)[0]
+    return _linear_draw(rank, m, seed)[0]
 
 
 def random_graphic_matroid(vertices: int, m: int, seed: int) -> MatroidOracle:
@@ -275,18 +274,18 @@ def random_rota_instance(n: int, seed: int):
 # the sweep
 
 
-def enumerate_row_families(oracle: MatroidOracle, rows: int | None = None,
-                           cap: int | None = None,
+def enumerate_row_families(oracle: MatroidOracle,
                            ) -> Iterator[tuple[frozenset[int], ...]]:
-    """All ordered tuples of disjoint independent rows with |I_i| <= cap.
+    """All ordered tuples of rank-many disjoint independent rows, each of
+    at most m/rank elements.
 
     Every element independently joins one row or none; a candidate row is
     pruned as soon as it exceeds the size cap or goes dependent, which is
-    exact because independence is hereditary.  Default: rank rows, cap m/rank.
+    exact because independence is hereditary.
     """
     m = oracle.ground.size
-    rows = oracle.rank_total if rows is None else rows
-    cap = m // max(rows, 1) if cap is None else cap
+    rows = oracle.rank_total
+    cap = m // max(rows, 1)
     table = oracle.build_rank_table()
     masks = [0] * rows
     sizes = [0] * rows
@@ -469,7 +468,7 @@ def _clone_canon(classes: Sequence[Sequence[int]], sets: Sequence[int],
 def _sweep_exhaustive(oracle: MatroidOracle, n: int, k: int) -> SweepReport:
     families = sat = unsat = 0
     examples = []
-    for rows in enumerate_row_families(oracle, rows=n, cap=k):
+    for rows in enumerate_row_families(oracle):
         inst = GridInstance(oracle, n, k, rows, REQUIRED)
         families += 1
         if solve(inst).status == SAT:

@@ -174,13 +174,21 @@ class MatroidOracle:
         return f"MatroidOracle({self.name or kind}, m={self.size}, rank={self.rank_total})"
 
     def _mask_of(self, elems: Iterable[int]) -> int:
-        mask = 0
+        # ORing 1 << e into a growing int copies it for every element, which
+        # is quadratic; one string of binary digits as long as the largest
+        # element is linear, and int(_, 2) reads it in linear time
+        elems = list(elems)
+        if not elems:
+            return 0
         m = self.ground.size
+        top = max(elems)
+        if top >= m or min(elems) < 0:
+            bad = next(e for e in elems if not 0 <= e < m)
+            raise IndexError(f"element {bad} outside ground set of size {m}")
+        digits = bytearray(b"0") * (top + 1)
         for e in elems:
-            if not 0 <= e < m:
-                raise IndexError(f"element {e} outside ground set of size {m}")
-            mask |= 1 << e
-        return mask
+            digits[top - e] = 49  # ord("1"): digit top - e is bit e
+        return int(digits, 2)
 
     def rank(self, elems: Iterable[int]) -> int:
         mask = self._mask_of(elems)
@@ -401,21 +409,21 @@ def is_disjoint_union_of_bases(oracle: MatroidOracle, parts: Sequence[Iterable[i
     return total == oracle.ground.size == len(seen)
 
 
-def enumerate_bases(oracle: MatroidOracle, cap: int = 16) -> frozenset[frozenset[int]]:
-    """All bases, by brute force over r-subsets; refuses ground sets above `cap`."""
+def enumerate_bases(oracle: MatroidOracle) -> frozenset[frozenset[int]]:
+    """All bases, by brute force over r-subsets; refuses ground sets above 16."""
     m = oracle.ground.size
-    if m > cap:
-        raise ValueError(f"ground set of size {m} exceeds enumeration cap {cap}")
+    if m > 16:
+        raise ValueError(f"ground set of size {m} exceeds enumeration cap 16")
     r = oracle.rank_total
     return frozenset(
         frozenset(c) for c in combinations(range(m), r) if oracle.rank(c) == r
     )
 
 
-def rank_axiom_violations(oracle: MatroidOracle, limit: int = 5) -> list[str]:
+def rank_axiom_violations(oracle: MatroidOracle) -> list[str]:
     """Exhaustive monotonicity / unit-increase / submodularity audit (m <= 12).
 
-    Returns up to `limit` human-readable violations; empty means the rank
+    Returns up to 5 human-readable violations; empty means the rank
     function is a matroid rank function on the full subset lattice.
     """
     m = oracle.ground.size
@@ -438,7 +446,7 @@ def rank_axiom_violations(oracle: MatroidOracle, limit: int = 5) -> list[str]:
             if not ra <= rb <= ra + (b_mask & ~a_mask).bit_count():
                 out.append(f"nested pair A={_bits(a_mask)} B={_bits(b_mask)}: "
                            f"rank {ra} vs {rb}")
-                if len(out) >= limit:
+                if len(out) >= 5:
                     return out
             if a_mask == 0:
                 break
@@ -447,7 +455,7 @@ def rank_axiom_violations(oracle: MatroidOracle, limit: int = 5) -> list[str]:
         for y in range(x, full):
             if table[x | y] + table[x & y] > rx + table[y]:
                 out.append(f"submodularity fails at A={_bits(x)} B={_bits(y)}")
-                if len(out) >= limit:
+                if len(out) >= 5:
                     return out
     return out
 

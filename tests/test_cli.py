@@ -12,9 +12,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rotagrid import (LinearRep, MatroidOracle, RotaInstance,
+import rotagrid.descent
+from rotagrid import (LinearRep, MatroidOracle, RotaInstance, SolveReport,
                       builtin_instance, parse_grid_instance, rota_solve,
-                      serialize_matroid, validate_grid)
+                      serialize_matroid, uniform_matroid, validate_grid)
 from rotagrid.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +135,49 @@ def test_descent_step_reports_mu_drop(tmp_path):
     assert step["mu_before"] > step["mu_after"]
     assert step["subinstance"].startswith("GRIDINSTANCE v1")
     assert step["submatroid"].startswith("MATROID v1")
+
+
+@pytest.mark.parametrize("k, message", [
+    ("2", "descent requires n >= 3 and block size k >= 3"),
+    ("9", "block size 9 exceeds 3 parts"),
+])
+def test_descent_step_block_size_out_of_range_is_usage_error(k, message,
+                                                            capsys):
+    assert run(["descent-step", "--matroid", "u39", "--k", k]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["rota", "descent-step"])
+def test_unsolvable_block_exports_a_certificate(cmd, tmp_path, capsys,
+                                                monkeypatch):
+    unsat = SolveReport("UNSAT", None, None, 0, 0.0)
+    monkeypatch.setattr(rotagrid.descent, "solve", lambda inst: unsat)
+    assert run([cmd, "--matroid", "u39", "--out", str(tmp_path),
+                "--json", str(tmp_path / "r.json")]) == 1
+    assert "CERTIFICATE: a block subproblem is unsolvable" \
+        in capsys.readouterr().out
+    files = load_report(tmp_path / "r.json")["result"]["certificate_files"]
+    grid = next(Path(f) for f in files if f.endswith(".grid"))
+    replay = parse_grid_instance(grid.read_text(), base_dir=grid.parent)
+    assert (replay.n, replay.k) == (3, 3)
+
+
+@pytest.mark.parametrize("unsolvable", [False, True])
+def test_rank_2_rota_solves_directly(unsolvable, tmp_path, monkeypatch):
+    if unsolvable:
+        unsat = SolveReport("UNSAT", None, None, 0, 0.0)
+        monkeypatch.setattr(rotagrid.descent, "solve", lambda inst: unsat)
+    path = tmp_path / "u24.matroid"
+    path.write_text(serialize_matroid(uniform_matroid(2, 4)))
+    code = run(["rota", "--matroid", str(path), "--out", str(tmp_path),
+                "--json", str(tmp_path / "r.json")])
+    result = load_report(tmp_path / "r.json")["result"]
+    assert result["steps"] == []
+    if unsolvable:
+        assert (code, result["status"]) == (1, "CERTIFICATE")
+        assert len(result["certificate_files"]) == 2
+    else:
+        assert (code, result["status"]) == (0, "GRID")
 
 
 # --- verify-c3 ---------------------------------------------------------------------
@@ -399,7 +443,7 @@ def test_rota_steps_match_trace_serializer(tmp_path):
     assert run(["rota", "--matroid", "u39",
                 "--json", str(tmp_path / "rota.json")]) == 0
     steps = load_report(tmp_path / "rota.json")["result"]["steps"]
-    expected = json.loads(trace.to_json())
+    expected = trace.to_dict()["steps"]
     assert steps and len(steps) == len(expected)
     for got, want in zip(steps, expected):
         got.pop("millis"), want.pop("millis")

@@ -244,7 +244,7 @@ def test_unsat_subsolve_becomes_certificate():
     stub = lambda _inst: SolveReport("UNSAT", None, None, 0, 0.0)
     cert = descent_step(inst, dp, 3, solver=stub)
     assert isinstance(cert, CounterexampleCertificate)
-    assert cert.rows == inst.bases        # full block: rows are the B_i
+    assert cert.instance.rows == inst.bases  # full block: rows are the B_i
     assert len(cert.bases) == 3
     assert cert.instance.independence == REQUIRED
     assert cert.report.status == "UNSAT"
@@ -266,11 +266,11 @@ def test_certificate_exports_replayable_files(tmp_path):
     cert = rota_solve(inst, solver=stub).certificate
     _, grid_path = write_instance_files(cert.instance, tmp_path, "cert")
     replay = parse_grid_instance(grid_path.read_text(), base_dir=tmp_path)
-    assert replay.rows == cert.rows
+    assert replay.rows == cert.instance.rows
     assert replay.n == 4 and replay.k == 3
     # the exported matroid is the same restriction: identical rank function
     table_a = replay.matroid.build_rank_table()
-    table_b = cert.matroid.build_rank_table()
+    table_b = cert.instance.matroid.build_rank_table()
     assert table_a == table_b
     # re-solving the exported subproblem with the real solver refutes the
     # stub: these instances satisfy the hypotheses and are solvable
@@ -374,7 +374,7 @@ def test_grid_from_double_partition_requires_mu_zero():
 def test_trace_json_round_trips():
     inst = random_rota_instance(4, seed=21)
     trace = rota_solve(inst)
-    steps = json.loads(trace.to_json())
+    steps = json.loads(json.dumps(trace.to_dict()))["steps"]
     assert len(steps) == len(trace.steps)
     for rec, step in zip(steps, trace.steps):
         assert rec["block"] == list(step.block)

@@ -324,8 +324,8 @@ def test_families_include_empty_triple(u39):
 
 def test_family_enumeration_matches_brute_filter_small():
     m = uniform_matroid(2, 5)
-    got = list(enumerate_row_families(m, rows=3, cap=2))
-    expected = brute_force_families(m, rows=3, cap=2)
+    got = list(enumerate_row_families(m))      # 2 rows of at most 2
+    expected = brute_force_families(m, rows=2, cap=2)
     assert sorted(got) == sorted(expected)
     assert len(got) == len(set(got))
 
@@ -513,7 +513,7 @@ def _shape_and_sets(oracle):
 def test_sweep_counts_and_maximal_families_match_enumeration(key):
     oracle = SWEEP_MATROIDS[key]()
     (n, k, m), table, indep = _shape_and_sets(oracle)
-    enumerated = list(enumerate_row_families(oracle, rows=n, cap=k))
+    enumerated = list(enumerate_row_families(oracle))
     assert verify_c3_for_matroid(oracle).families == len(enumerated)
     assert _count_families(indep, n, m) == len(enumerated)
     generated = list(_canonical_maximal_families(table, indep, n, k, m))

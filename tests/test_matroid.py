@@ -7,6 +7,7 @@ graphic loops and parallel classes, and a pairwise tester walk for the
 parallel classes of every representation.
 """
 
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -242,6 +243,27 @@ def test_restrict_linear_keeps_exactness(oxley_j):
     sub = oxley_j.restrict({0, 1, 4, 6})
     assert isinstance(sub.rep, LinearRep)
     assert sub.rank_total == minor_rank([J_VECTORS[i] for i in (0, 1, 4, 6)])
+
+
+def test_rank_and_restrict_are_linear_in_their_elements():
+    # one basis {0} of rank 1 among a million elements; ORing each bit into
+    # a growing mask took 5.5 s for the rank and 9 s for the restriction
+    m = 1_000_000
+    big = MatroidOracle(BasesRep.from_sets(1, [{0}]), ground_size=m)
+    start = time.perf_counter()
+    assert big.rank(range(m)) == 1
+    sub = big.restrict(range(m))
+    assert (sub.rank_total, sub.parent_elements[-1]) == (1, m - 1)
+    assert time.perf_counter() - start < 5
+
+
+@given(st.lists(st.integers(0, 2047), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_mask_of_sets_the_bits_given(elems):
+    oracle = MatroidOracle(BasesRep.from_sets(1, [{0}]), ground_size=2048)
+    assert oracle._mask_of(iter(elems)) == sum(1 << e for e in set(elems))
+    with pytest.raises(IndexError):
+        oracle._mask_of([*elems, 2048])
 
 
 # --- basis-exchange checker ---------------------------------------------------
