@@ -3,7 +3,10 @@
 
 For each rank n and seed, builds a random rank-n linear matroid on n^2
 elements split into n disjoint bases, runs the descent, and checks the
-resulting grid.  Prints per-n summaries of step counts and potentials.
+resulting grid.  Prints per-n summaries of step counts and potentials, and
+where the time went: drawing the instances (`random_rota_instance`), the
+block subsolves (the sum of their reports' `millis`), and the rest of the
+descent (restriction, regrouping and checks).
 """
 
 import argparse
@@ -26,10 +29,17 @@ def main():
     for n in (int(tok) for tok in args.ns.split(",")):
         steps = []
         nodes = 0
+        draw_s = descent_s = 0.0
+        subsolve_ms = 0.0
         t0 = time.perf_counter()
         for seed in range(args.trials):
+            t1 = time.perf_counter()
             inst = random_rota_instance(n, seed=seed)
+            t2 = time.perf_counter()
             trace = rota_solve(inst, k=min(args.k, n) if n >= 3 else args.k)
+            descent_s += time.perf_counter() - t2
+            draw_s += t2 - t1
+            subsolve_ms += sum(s.report.millis for s in trace.steps)
             if trace.certificate is not None:
                 print(f"n={n} seed={seed}: CERTIFICATE -- unsolvable block "
                       f"subproblem; export it and investigate!")
@@ -44,6 +54,8 @@ def main():
         print(f"n={n}: {args.trials} runs, steps min/avg/max = "
               f"{min(steps)}/{sum(steps) / len(steps):.1f}/{max(steps)}, "
               f"{nodes} subsolve nodes, {elapsed:.1f}s")
+        print(f"  draw {draw_s:.3f}s, subsolves {subsolve_ms / 1000:.3f}s, "
+              f"rest of descent {descent_s - subsolve_ms / 1000:.3f}s")
     print(f"total {time.perf_counter() - grand_start:.1f}s")
 
 

@@ -153,8 +153,8 @@ def build_subinstance(inst: RotaInstance, dp: DoublePartition,
     trace = frozenset().union(*(dp.tau[b] for b in block))
     sub = inst.matroid.restrict(span)
     to_sub = {e: i for i, e in enumerate(sub.parent_elements)}
-    rows = tuple(frozenset(to_sub[e] for e in (b & trace & span))
-                 for b in inst.bases)
+    kept = trace & span
+    rows = tuple(frozenset([to_sub[e] for e in b & kept]) for b in inst.bases)
     grid_inst = GridInstance(sub, inst.n, len(block), rows, REQUIRED)
     return Subinstance(grid_inst, sub.parent_elements, block, span, trace)
 
@@ -171,26 +171,21 @@ def rebuild(inst: RotaInstance, dp: DoublePartition, sub: Subinstance,
     """
     if not validate_grid(sub.instance, subgrid):
         raise ValueError("subgrid does not solve the block subproblem")
-    n = inst.n
-    k = len(sub.block)
+    to_parent = sub.parent_elements
+    rows = [[to_parent[e] for e in row] for row in subgrid]
     new_beta = list(dp.beta)
     for j, b in enumerate(sub.block):
-        new_beta[b] = frozenset(sub.to_parent(subgrid[i][j]) for i in range(n))
+        new_beta[b] = frozenset([row[j] for row in rows])
 
-    companion: list[list[int]] = [[-1] * k for _ in range(n)]
-    for i in range(n):
-        tied = inst.bases[i] & sub.trace_set        # exactly k elements
-        in_span = {e for e in tied if e in sub.span}
-        sub_row = [sub.to_parent(e) for e in subgrid[i]]
-        for e in in_span:
-            companion[i][sub_row.index(e)] = e
-        vacancies = [j for j in range(k) if companion[i][j] < 0]
-        for j, e in zip(vacancies, sorted(tied - in_span)):
-            companion[i][j] = e
+    companion = []
+    for i, row in enumerate(rows):
+        tied = inst.bases[i] & sub.trace_set
+        fill = iter(sorted(tied - sub.span))
+        companion.append([e if e in tied else next(fill) for e in row])
 
     new_tau = list(dp.tau)
     for j, b in enumerate(sub.block):
-        new_tau[b] = frozenset(companion[i][j] for i in range(n))
+        new_tau[b] = frozenset([row[j] for row in companion])
     return DoublePartition(tuple(new_beta), tuple(new_tau))
 
 

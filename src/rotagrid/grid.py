@@ -375,7 +375,7 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
     for e, i in enumerate(row_of):
         own[i] |= 1 << e
     free_mask = own.pop()
-    wide = [_mask(row) | free_mask for row in inst.rows]  # all row i may take
+    wide = [mask | free_mask for mask in own]  # all row i may take
     unused = (1 << m) - 1
     slack = [k - len(row) for row in inst.rows]
     decide = mode == "decide"
@@ -386,14 +386,17 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
 
     row_at = list(range(n)) * k
     testers = [tester_for(M) for _ in range(k)]
-    can_add_at = [testers[t // n].can_add for t in range(total)]
-    push_at = [testers[t // n].push for t in range(total)]
-    pop_at = [testers[t // n].pop for t in range(total)]
-    above_at = [break_columns and decide and t >= n and t % n == 0
-                for t in range(total)]
-    # the partition lookahead's cells and part counts (module docstring)
-    parts_at = [k - t // n if n > 1 and t >= n and t % n == 0
-                and k - t // n >= 3 else 0 for t in range(total)]
+    can_add_at = [f for tester in testers for f in [tester.can_add] * n]
+    push_at = [f for tester in testers for f in [tester.push] * n]
+    pop_at = [f for tester in testers for f in [tester.pop] * n]
+    # the first cell of each column after the first: above_at breaks column
+    # symmetry there, parts_at gives the partition lookahead's part count
+    above_at = [False] * total
+    parts_at = [0] * total
+    for t in range(n, total, n):
+        above_at[t] = break_columns and decide
+        if n > 1 and k - t // n >= 3:   # (module docstring)
+            parts_at[t] = k - t // n
     certs = [] if any(parts_at) else None   # failed splits, for `_lookahead`
     cells = [-1] * total
     rest = [0] * total       # rest[t]: untried candidates of cell t
@@ -488,10 +491,11 @@ def validate_grid(inst: GridInstance, grid: Sequence[Sequence[int]]) -> bool:
     for i, row in enumerate(grid):
         if not inst.rows[i] <= set(row):
             return False
-    for c in range(k):
-        if not inst.matroid.is_basis({grid[i][c] for i in range(n)}):
-            return False
-    return True
+    # the n entries of a column are distinct, so it is a basis iff its rank
+    # is n and n is the rank of the matroid
+    M = inst.matroid
+    return all(M.rank_total == n == M.rank([row[c] for row in grid])
+               for c in range(k))
 
 
 def brute_force_count(inst: GridInstance) -> int:

@@ -14,7 +14,14 @@ which the tests check against the tester.  All arithmetic is exact -- the
 linear tester eliminates over integers (Bareiss), never floating point.  It
 packs each integer column into one int of signed fields wide enough for
 every minor, so an elimination step is a few operations on whole ints; an
-oracle packs its columns once and hands them to its restrictions.
+oracle packs its columns once and hands them to its restrictions, and a
+greedy rank is one elimination loop inside the tester.
+
+A restriction M|S has M's rank on every subset of S, so whatever the rank
+of small sets decides is M's too: an element of S is a loop of M|S iff it
+is a loop of M, and two elements of S are parallel in M|S iff they are in
+M.  A restriction therefore reads its loops and parallel classes off its
+parent's instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -138,6 +145,7 @@ class MatroidOracle:
     A rank query reads the rank table once one is built, and otherwise grows
     a greedy independent subset with a fresh tester.  After construction the
     only mutations are the lazily built table, loops and parallel classes.
+    A restriction keeps its parent (`_parent`) to read those two off.
     """
 
     def __init__(self, rep: Representation, names: Sequence[str] | None = None,
@@ -150,20 +158,26 @@ class MatroidOracle:
         self.ground = GroundSet(m, tuple(names) if names is not None else None)
         self.name = name
         self.parent_elements: tuple[int, ...] | None = None
+        self._parent: MatroidOracle | None = None
         self._table: list[int] | None = None
         self._loops: frozenset[int] | None = None
         self._parallel_classes: tuple[tuple[int, ...], ...] | None = None
+        self._class_ids: list[int] | None = None
         # no subset's rank exceeds the ceiling, so a greedy scan stops there
         if isinstance(rep, BasesRep):
             self._basis_masks = tuple(sorted(_mask(b) for b in rep.bases))
             self._ceiling = rep.rank
         elif isinstance(rep, LinearRep):
-            self._columns = _columns or tuple(_integer_column(c) for c in rep.columns)
-            self._packing = _packing or _pack(self._columns, rep.dim)
+            if _packing is None:
+                # the integer columns are kept for `_parallel_key`; a
+                # restriction inherits its classes and gets the packing only
+                self._columns = _columns or tuple(_integer_column(c) for c in rep.columns)
+                _packing = _pack(self._columns, rep.dim)
+            self._packing = _packing
             self._ceiling = rep.dim
         else:
             self._ceiling = rep.vertices - 1
-        self.rank_total = self._rank_mask((1 << m) - 1)
+        self.rank_total = tester_for(self).rank(range(m), self._ceiling)
 
     @property
     def size(self) -> int:
@@ -190,23 +204,20 @@ class MatroidOracle:
             digits[top - e] = 49  # ord("1"): digit top - e is bit e
         return int(digits, 2)
 
-    def rank(self, elems: Iterable[int]) -> int:
-        mask = self._mask_of(elems)
-        if self._table is not None:
-            return self._table[mask]
-        return self._rank_mask(mask)
+    def _sorted(self, elems: Iterable[int]) -> list[int]:
+        # the distinct elements in increasing order; the two ends decide
+        # whether any lies outside the ground set
+        elems = sorted(set(elems))
+        m = self.ground.size
+        if elems and (elems[0] < 0 or elems[-1] >= m):
+            bad = elems[0] if elems[0] < 0 else elems[-1]
+            raise IndexError(f"element {bad} outside ground set of size {m}")
+        return elems
 
-    def _rank_mask(self, mask: int) -> int:
-        # the greedily grown independent subset is a basis of the mask
-        tester = tester_for(self)
-        rank = 0
-        for e in _bits(mask):
-            if rank == self._ceiling:
-                break
-            if tester.can_add(e):
-                tester.push(e)
-                rank += 1
-        return rank
+    def rank(self, elems: Iterable[int]) -> int:
+        if self._table is not None:
+            return self._table[self._mask_of(elems)]
+        return tester_for(self).rank(self._sorted(elems), self._ceiling)
 
     def is_independent(self, elems: Iterable[int]) -> bool:
         s = set(elems)
@@ -227,9 +238,13 @@ class MatroidOracle:
 
     def loops(self) -> frozenset[int]:
         if self._loops is None:
-            tester = tester_for(self)
-            self._loops = frozenset(
-                e for e in range(self.ground.size) if not tester.can_add(e))
+            if self._parent is not None:
+                self._loops = frozenset(
+                    [e for e, c in enumerate(self._ids()) if c < 0])
+            else:
+                tester = tester_for(self)
+                self._loops = frozenset(
+                    e for e in range(self.ground.size) if not tester.can_add(e))
         return self._loops
 
     def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -238,16 +253,33 @@ class MatroidOracle:
 
         Two non-loops are parallel iff their keys are equal: the primitive
         integer direction of a column, the endpoint pair of an edge, or the
-        sets B - e over the bases B containing e (no basis holds both).
+        sets B - e over the bases B containing e (no basis holds both).  A
+        restriction has its parent's rank on every subset of its elements,
+        so its classes are the parent's cut down to those elements: it
+        groups its elements, in its own order, by their parent's class.
         """
         if self._parallel_classes is None:
-            loops = self.loops()
             groups: dict = {}
-            for e in range(self.ground.size):
-                if e not in loops:
-                    groups.setdefault(self._parallel_key(e), []).append(e)
+            for e, c in enumerate(self._ids()):
+                if c >= 0:
+                    groups.setdefault(c, []).append(e)
             self._parallel_classes = tuple(map(tuple, groups.values()))
         return self._parallel_classes
+
+    def _ids(self) -> list[int]:
+        # per element, the index of its parallel class, -1 for a loop; a
+        # restriction reads its parent's at its parent elements and keeps
+        # no copy, since it caches its loops and classes
+        if self._parent is not None:
+            ids = self._parent._ids()
+            return [ids[e] for e in self.parent_elements]
+        if self._class_ids is None:
+            loops = self.loops()
+            index: dict = {}
+            self._class_ids = [
+                -1 if e in loops else index.setdefault(self._parallel_key(e), len(index))
+                for e in range(self.ground.size)]
+        return self._class_ids
 
     def _parallel_key(self, e: int):
         rep = self.rep
@@ -265,18 +297,18 @@ class MatroidOracle:
 
         The returned oracle's ``parent_elements[i]`` is the original index of
         its element ``i``; its rank function agrees with this oracle on every
-        subset of `subset`.
+        subset of `subset`.  Loops and parallel pairs are decided by ranks of
+        sets of at most two elements, so the restriction reads its loops and
+        parallel classes off this oracle's and never recomputes them.
         """
-        elems = sorted(set(subset))
-        self._mask_of(elems)  # range check
+        elems = self._sorted(subset)
         names = None
         if self.ground.names is not None:
             names = tuple(self.ground.names[e] for e in elems)
         rep = self.rep
-        columns = packing = None
+        packing = None
         if isinstance(rep, LinearRep):
             sub_rep: Representation = LinearRep(rep.dim, tuple(rep.columns[e] for e in elems))
-            columns = tuple(self._columns[e] for e in elems)
             # a subset's minors are minors of these columns, so the width
             # still decodes them
             packed, width, bias = self._packing
@@ -286,9 +318,9 @@ class MatroidOracle:
         else:
             sub_rep = _restrict_bases(rep, elems, self.rank(elems))
         sub = MatroidOracle(sub_rep, names=names, name=self.name,
-                            ground_size=len(elems), _columns=columns,
-                            _packing=packing)
+                            ground_size=len(elems), _packing=packing)
         sub.parent_elements = tuple(elems)
+        sub._parent = self
         return sub
 
     def build_rank_table(self) -> list[int]:
@@ -345,12 +377,10 @@ def _restrict_bases(rep: BasesRep, elems: list[int], sub_rank: int) -> BasesRep:
     # i.e. all sub_rank-subsets of B ∩ elems over the original bases B
     pos = {e: i for i, e in enumerate(elems)}
     sub_bases = set()
-    keep = set(elems)
     for b in rep.bases:
-        inter = sorted(b & keep)
+        inter = sorted([pos[e] for e in b if e in pos])
         if len(inter) >= sub_rank:
-            for combo in combinations(inter, sub_rank):
-                sub_bases.add(frozenset(pos[e] for e in combo))
+            sub_bases.update(map(frozenset, combinations(inter, sub_rank)))
     return BasesRep(sub_rank, frozenset(sub_bases))
 
 
@@ -468,7 +498,24 @@ def rank_axiom_violations(oracle: MatroidOracle) -> list[str]:
 # verdicts agree with the owning oracle's rank function (property-tested).
 
 
-class TableTester:
+class _Tester:
+    __slots__ = ()
+
+    def rank(self, elems: Iterable[int], ceiling: int) -> int:
+        """Rank of the distinct `elems` on a tester that holds nothing yet,
+        by growing a greedy independent subset, stopped at `ceiling`; the
+        tester may be left holding that subset."""
+        rank = 0
+        for e in elems:
+            if rank == ceiling:
+                break
+            if self.can_add(e):
+                self.push(e)
+                rank += 1
+        return rank
+
+
+class TableTester(_Tester):
     __slots__ = ("table", "mask", "size")
 
     def __init__(self, table: list[int]):
@@ -491,7 +538,7 @@ class TableTester:
         self.size -= 1
 
 
-class LinearTester:
+class LinearTester(_Tester):
     # Fraction-free (Bareiss) elimination over integer columns, each packed
     # into one int: coordinate i is a signed field of `width` bits at bit
     # i * width.  A stack entry is (pivot shift s, row w, element, pivot value
@@ -545,6 +592,25 @@ class LinearTester:
         if self.stack.pop()[2] != e:
             raise ValueError("pop order must mirror push order")
 
+    def rank(self, elems: Iterable[int], ceiling: int) -> int:
+        # can_add and push in one loop on a local stack of (s, w, d): the
+        # same elimination with no method call per element
+        columns, width, bias = self.columns, self.width, self.bias
+        fmask, half = self.fmask, self.half
+        rows: list[tuple[int, int, int]] = []
+        for e in elems:
+            if len(rows) == ceiling:
+                break
+            v = columns[e]
+            prev = 1
+            for s, w, d in rows:
+                v = (d * v - (((v + bias) >> s & fmask) - half) * w) // prev
+                prev = d
+            if v:
+                s = ((v & -v).bit_length() - 1) // width * width
+                rows.append((s, v, ((v + bias) >> s & fmask) - half))
+        return len(rows)
+
 
 def _pack(columns: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], int, int]:
     """Integer columns packed for `LinearTester`: (packed columns, field
@@ -556,7 +622,7 @@ def _pack(columns: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...]
     return packed, width, sum([half << i * width for i in range(dim)])
 
 
-class GraphicTester:
+class GraphicTester(_Tester):
     __slots__ = ("edges", "parent", "compsize", "trail")
 
     def __init__(self, vertices: int, edges: Sequence[tuple[int, int]]):
@@ -598,7 +664,7 @@ class GraphicTester:
         self.compsize[root] -= self.compsize[child]
 
 
-class BasesTester:
+class BasesTester(_Tester):
     __slots__ = ("stack",)
 
     def __init__(self, basis_masks: Sequence[int]):

@@ -1,6 +1,7 @@
 """Descent machinery: potential accounting, block selection, regrouping,
 certificates, and full runs."""
 
+import hashlib
 import json
 
 import pytest
@@ -310,6 +311,27 @@ def test_rota_random_instances_strictly_decreasing_mu():
         assert all(a > b for a, b in zip(mus, mus[1:]))
         if trace.steps:
             assert trace.steps[-1].mu_after == 0
+
+
+def test_benchmark_descent_traces_are_pinned():
+    # the 100 descents at n = 3..6, seeds 0..24: every step's block, mu
+    # before and after, nodes, subgrid and parent elements, and each final
+    # grid, fixed by the search order
+    digest = hashlib.sha256()
+    steps = nodes = 0
+    for n in (3, 4, 5, 6):
+        for seed in range(25):
+            trace = rota_solve(random_rota_instance(n, seed))
+            for s in trace.steps:
+                digest.update(repr((s.block, s.mu_before, s.mu_after,
+                                    s.report.nodes, s.report.grid,
+                                    s.subinstance.parent_elements)).encode())
+            digest.update(repr(trace.grid).encode())
+            steps += len(trace.steps)
+            nodes += sum(s.report.nodes for s in trace.steps)
+    assert (steps, nodes) == (501, 8199)
+    assert digest.hexdigest() == ("9fb9b569d38a054b7fd36b1744a18e52"
+                                  "5c9603972fb510d1e5625a01a2ee0097")
 
 
 @pytest.mark.parametrize("n,steps,nodes",

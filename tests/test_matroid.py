@@ -158,6 +158,9 @@ def test_rank_j_full_ground():
 def test_rank_rejects_out_of_range(k4):
     with pytest.raises(IndexError):
         k4.rank({0, 6})
+    for bad in ({0, 6}, {-1, 2}):
+        with pytest.raises(IndexError, match="outside ground set"):
+            k4.restrict(bad)
 
 
 def test_linear_rep_rejects_floats():
@@ -607,6 +610,46 @@ def test_parallel_classes_match_reference_walk(rep, trailing_loops):
     for M in (oracle, expanded):
         assert M.parallel_classes() == reference_parallel_classes(M)
     assert expanded.parallel_classes() == oracle.parallel_classes()
+
+
+@st.composite
+def restriction_draws(draw):
+    """A linear, graphic or basis-family oracle (zero, repeated and scaled
+    columns, self-loops and parallel edges, trailing loops), a set S of its
+    elements and a set T of the restriction's elements."""
+    kind = draw(st.sampled_from(["linear", "graphic", "bases"]))
+    rep = draw(graphic_reps) if kind == "graphic" else LinearRep.from_columns(
+        draw(linear_columns(max_size=10)))
+    oracle = MatroidOracle(rep)
+    if kind == "bases":
+        oracle = MatroidOracle(
+            BasesRep(oracle.rank_total, enumerate_bases(oracle)),
+            ground_size=oracle.ground.size + draw(st.integers(0, 2)))
+    s = draw(st.sets(st.integers(0, oracle.ground.size - 1)))
+    t = draw(st.sets(st.sampled_from(range(len(s))))) if s else set()
+    return oracle, s, t
+
+
+@given(restriction_draws(), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_restriction_inherits_loops_and_parallel_classes(draw, parent_first,
+                                                         inner_first):
+    # a restriction has its parent's rank on every subset, so its loops and
+    # classes, read off the parent's, equal those of an oracle built afresh
+    # on the restricted representation, in the same order
+    oracle, s, t = draw
+    if parent_first:
+        oracle.parallel_classes()
+    sub = oracle.restrict(s)
+    inner = sub.restrict(t)
+    assert (sub._parent, inner._parent) == (oracle, sub)
+    for M in (inner, sub) if inner_first else (sub, inner):
+        fresh = MatroidOracle(M.rep, ground_size=M.ground.size)
+        classes = M.parallel_classes()
+        assert M.loops() == fresh.loops()
+        assert classes == fresh.parallel_classes()
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        assert all(list(c) == sorted(c) for c in classes)
 
 
 # A script step is (op, e, f).  "check" asks can_add(e); "push" pushes e with
