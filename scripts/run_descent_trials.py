@@ -3,10 +3,12 @@
 
 For each rank n and seed, builds a random rank-n linear matroid on n^2
 elements split into n disjoint bases, runs the descent, and checks the
-resulting grid.  Prints per-n summaries of step counts and potentials, and
-where the time went: drawing the instances (`random_rota_instance`), the
-block subsolves (the sum of their reports' `millis`), and the rest of the
-descent (restriction, regrouping and checks).
+resulting grid.  Prints per-n summaries of step counts and potentials, how
+many distinct basis partitions the trials drew (seeds that draw the same
+partition run the same descent), and where the time went: drawing the
+instances (`random_rota_instance`), the block subsolves (the sum of their
+reports' `millis`), and the rest of the descent (restriction, regrouping
+and checks).
 """
 
 import argparse
@@ -29,6 +31,7 @@ def main():
     for n in (int(tok) for tok in args.ns.split(",")):
         steps = []
         nodes = 0
+        drawn = set()     # the distinct basis partitions
         draw_s = descent_s = 0.0
         subsolve_ms = 0.0
         t0 = time.perf_counter()
@@ -36,6 +39,7 @@ def main():
             t1 = time.perf_counter()
             inst = random_rota_instance(n, seed=seed)
             t2 = time.perf_counter()
+            drawn.add(frozenset(inst.bases))
             trace = rota_solve(inst, k=min(args.k, n) if n >= 3 else args.k)
             descent_s += time.perf_counter() - t2
             draw_s += t2 - t1
@@ -54,6 +58,8 @@ def main():
         print(f"n={n}: {args.trials} runs, steps min/avg/max = "
               f"{min(steps)}/{sum(steps) / len(steps):.1f}/{max(steps)}, "
               f"{nodes} subsolve nodes, {elapsed:.1f}s")
+        print(f"  distinct basis partitions drawn: {len(drawn)} of "
+              f"{args.trials}")
         print(f"  draw {draw_s:.3f}s, subsolves {subsolve_ms / 1000:.3f}s, "
               f"rest of descent {descent_s - subsolve_ms / 1000:.3f}s")
     print(f"total {time.perf_counter() - grand_start:.1f}s")

@@ -102,6 +102,28 @@ def mu(dp: DoublePartition) -> int:
                for j, t in enumerate(dp.tau) if i != j)
 
 
+def _intersections(dp: DoublePartition) -> list[list[int]]:
+    """The table of |beta_i ∩ tau_j|; its off-diagonal sum is mu(dp)."""
+    return [[len(b & t) for t in dp.tau] for b in dp.beta]
+
+
+def _recount(counts: list[list[int]], dp: DoublePartition,
+             block: Sequence[int]) -> int:
+    """Recount the block's rows and columns of `counts` for `dp`, which
+    differs from the double partition they were counted for only in the
+    block's parts, and return the change in mu."""
+    beta, tau = dp.beta, dp.tau
+    everything = range(len(beta))
+    change = 0
+    for i, row in enumerate(counts):
+        for j in (everything if i in block else block):
+            new = len(beta[i] & tau[j])
+            if i != j:
+                change += new - row[j]
+            row[j] = new
+    return change
+
+
 def initial_double_partition(inst: RotaInstance) -> DoublePartition:
     """beta_i = B_i; tau_j collects the j-th smallest element of every B_i."""
     ordered = [sorted(b) for b in inst.bases]
@@ -251,12 +273,13 @@ def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
     Returns (new_dp, DescentStep) on success, or a CounterexampleCertificate
     when the block subproblem is unsolvable.
     """
-    return _step(inst, dp, mu(dp), k, solver)
+    return _step(inst, dp, _intersections(dp), mu(dp), k, solver)
 
 
-def _step(inst: RotaInstance, dp: DoublePartition, mu_before: int, k: int,
-          solver: Solver):
-    """`descent_step` given `mu_before`, the potential of `dp`."""
+def _step(inst: RotaInstance, dp: DoublePartition, counts: list[list[int]],
+          mu_before: int, k: int, solver: Solver):
+    """`descent_step` given `counts`, the intersection table of `dp`, and
+    `mu_before`, its potential; on success `counts` becomes the new table."""
     if inst.n < 3 or k < 3:
         raise ValueError("descent requires n >= 3 and block size k >= 3")
     block = select_block(dp, k)   # raises when mu is zero
@@ -269,7 +292,7 @@ def _step(inst: RotaInstance, dp: DoublePartition, mu_before: int, k: int,
             for b in block)
         return CounterexampleCertificate(sub.instance, beta_sub, report)
     new_dp = rebuild(inst, dp, sub, report.grid)
-    mu_after = mu(new_dp)
+    mu_after = mu_before + _recount(counts, new_dp, block)
     if mu_after >= mu_before:
         raise AssertionError(
             f"potential failed to decrease: {mu_before} -> {mu_after}")
@@ -299,10 +322,11 @@ def rota_solve(inst: RotaInstance, k: int = 3,
         raise ValueError(f"block size {k} exceeds n = {n}")
 
     dp = initial_double_partition(inst)
+    counts = _intersections(dp)   # kept up to date by each step
     potential = mu(dp)
     steps: list[DescentStep] = []
     while potential > 0:
-        outcome = _step(inst, dp, potential, k, solver)
+        outcome = _step(inst, dp, counts, potential, k, solver)
         if isinstance(outcome, CounterexampleCertificate):
             return DescentTrace(tuple(steps), None, outcome)
         dp, step = outcome

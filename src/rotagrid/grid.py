@@ -19,9 +19,13 @@ candidates.
 The lookahead ignores rows, so it is sound in count mode too.  The gate is
 fixed by the grid's shape: with fewer columns left the test costs more than
 the search it replaces, so solves with k <= 3 never run it, and at rank 1
-the loop check already decides it.  Each failed split leaves a certificate
-(`_split`) that the solve keeps and tries before every later split, so a
-column refused for a reason already found costs a few bit counts; the
+the loop check already decides it.  The solve's `_Lookahead` keeps each
+failed query's certificate and tries them before every later query, so a
+column refused for a reason already found costs a few bit counts.  It also
+keeps one partition per part count: the first query with that count
+partitions afresh, and each later one repairs the partition the last left
+(`_Parts.repair`), since sibling columns change only a few unused elements.
+A repaired partition answers and certifies as a fresh one does, so the
 answers, and so the nodes, are unchanged.
 Symmetry breaking is applied only in decision mode, where it is sound:
 column permutations act freely on solutions (row-0 entries are forced to
@@ -123,7 +127,7 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
     state = _Parts(oracle, range(m), parts, cyclic=False)
     if not state.left:
         return tuple(map(frozenset, state.free))
-    if any(state.insert(s, range(parts)) is not None for s in state.left):
+    if state.settle() is not None:
         return None
     order: list[int] = []     # the parts with pins, in the order they opened
     for e in range(m):
@@ -137,35 +141,22 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
 
 def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
     """True iff the elements of bitmask `mask` split into `parts` disjoint
-    bases, by matroid partition (Edmonds 1965; Cunningham 1986): `_split`."""
+    bases, by matroid partition (Edmonds 1965; Cunningham 1986): a first fit,
+    then `_Parts.settle`."""
     return (parts >= 0 and mask.bit_count() == oracle.rank_total * parts
-            and _split(oracle, mask, parts) is None)
-
-
-def _split(oracle: MatroidOracle, mask: int, parts: int):
-    """None if `mask`, of exactly `parts` times the rank elements, splits into
-    `parts` disjoint bases; otherwise a certificate (R, rho), R a bitmask,
-    that it does not.  When a leftover has no augmenting path, the set R
-    that the search reached lies in the span of its members in each part,
-    and only the leftover is in no part, so |R| = parts * r(R) + 1 with
-    rho = r(R).  A set X with more than p * rho elements of R then has no
-    partition into p independent sets, so none into bases, for any p."""
-    state = _Parts(oracle, _bits(mask), parts, cyclic=True)
-    for s in state.left:
-        reached = state.insert(s, range(parts))
-        if reached is not None:
-            return _mask(reached), (len(reached) - 1) // parts
-    return None
+            and _Parts(oracle, _bits(mask), parts, cyclic=True).settle() is None)
 
 
 class _Parts:
     """A matroid partition in progress.  Part j holds its pinned elements,
     which never move, and at most `room[j]` `free` ones; `full[j]` is a
-    tester holding all of it, `pins[j]` one holding its pins.  Part j
-    extends its pins P_j: matroid partition over the contractions M/P_j.
-    Each element starts in the first part that takes it, from the one after
-    the last used when `cyclic` (parallel elements spread at once), else
-    from part 0; `left` lists the rest."""
+    tester holding all of it, in the order pinned then free, and `pins[j]`
+    one holding its pins.  Part j extends its pins P_j: matroid partition
+    over the contractions M/P_j.  Each element starts in the first part that
+    takes it, from the one after the last used when `cyclic` (parallel
+    elements spread at once), else from part 0; `left` lists the rest, which
+    `settle` inserts.  `repair` moves a pin-free partition to another set of
+    elements, so a run of related sets is partitioned by one state."""
 
     def __init__(self, oracle: MatroidOracle, elems, parts: int, cyclic: bool):
         self.oracle = oracle
@@ -194,6 +185,50 @@ class _Parts:
         for f in self.pinned[j] + self.free[j]:
             tester.push(f)
 
+    def settle(self):
+        """Insert the leftovers in turn (`insert`): None once every one is
+        placed, else a certificate (R, rho), R a bitmask, for the first that
+        cannot be, which stays in `left` with those after it.
+
+        With no pins, a failed insertion of s certifies that the elements
+        held and s do not split into `parts` independent sets: each part is
+        independent, and a part takes an element it stays independent with
+        whenever it has room, so a full part is a basis.  The set R that the
+        search reached then lies in the span of its members in every part,
+        which are independent, so each part holds exactly r(R) of R, and
+        only s is in no part: |R| = parts * r(R) + 1 with rho = r(R).  A set
+        X with more than p * rho elements of R has no partition into p
+        independent sets, so none into bases, for any p.  Nothing here asks
+        how the state was reached, so a repaired state certifies as a fresh
+        one does."""
+        parts, left = range(len(self.free)), self.left
+        for i, s in enumerate(left):
+            reached = self.insert(s, parts)
+            if reached is not None:
+                del left[:i]
+                return _mask(reached), (len(reached) - 1) // len(parts)
+        left.clear()
+        return None
+
+    def repair(self, gone: int, new: int) -> None:
+        """Take the elements of bitmask `gone` out, rebuilding the testers
+        of only the parts they leave, and queue those of bitmask `new` after
+        the leftovers, for `settle`.  The parts stay independent, so the
+        state is one `settle` can finish or certify."""
+        free, part_of, left = self.free, self.part_of, self.left
+        changed = set()
+        for e in _bits(gone):
+            j = part_of[e]
+            if j < 0:
+                left.remove(e)
+            else:
+                free[j].remove(e)
+                part_of[e] = -1
+                changed.add(j)
+        for j in changed:
+            self._rebuild(j)
+        left += _bits(new)
+
     def insert(self, s: int, first: Sequence[int]):
         """Put s, in no part, into the parts along a shortest augmenting path,
         found breadth first, whose first step enters a part in `first`: None
@@ -201,16 +236,19 @@ class _Parts:
         part j, means part j - y + x is independent; a path ends at an element
         another part takes as it is, and a shortest one keeps every part
         independent."""
-        free, part_of, room, full = self.free, self.part_of, self.room, self.full
+        free, part_of, full = self.free, self.part_of, self.full
         everywhere = range(len(free))
+        # no part gains room while the path is sought, so the sinks are
+        # among the parts with room now, still tried in increasing order
+        roomy = [j for j in everywhere if len(free[j]) < self.room[j]]
 
         def sink_of(x, targets):
-            return next((j for j in targets if j != part_of[x] and
-                         len(free[j]) < room[j] and full[j].can_add(x)), None)
+            return next((j for j in targets
+                         if j != part_of[x] and full[j].can_add(x)), None)
 
         came_from = {s: None}
         queue = [s]
-        x, sink = s, sink_of(s, first)
+        x, sink = s, sink_of(s, [j for j in first if j in roomy])
         for z in queue:
             if sink is not None:
                 break
@@ -236,7 +274,7 @@ class _Parts:
                     came_from[y] = z
                     queue.append(y)
                     tester.push(y)
-                    x, sink = y, sink_of(y, everywhere)
+                    x, sink = y, sink_of(y, roomy)
         for y in reversed(queue[1:]):      # leave the pin testers as found
             self.pins[part_of[y]].pop(y)
         if sink is None:
@@ -276,21 +314,41 @@ class _Parts:
         return c
 
 
-def _lookahead(oracle: MatroidOracle, mask: int, parts: int, certs: list) -> bool:
-    """`splits_into_bases` for a `mask` of `parts` times the rank elements.
+class _Lookahead:
+    """The partition lookahead of one solve: `query` answers
+    `splits_into_bases` for a mask of `parts` times the rank elements.
 
-    `certs` holds the certificates of the solve's failed splits so far; a
-    mask that one of them refuses is answered without a new split, and a
-    new failure adds its certificate.
+    Failed queries leave their certificates (`_Parts.settle`), and a mask
+    that one of them refuses is answered with no partition run.  Otherwise
+    the first query with a part count partitions its mask afresh, as
+    `splits_into_bases` does, and every later query with that count repairs
+    the state the last one left (`_Parts.repair`) and settles it again:
+    sibling columns change a few elements of the mask, not all of them.
+    Repaired or fresh, a settled state answers exactly and a failed one
+    certifies, so the answers, and the nodes, are those of fresh splits.
     """
-    for x, rho in certs:
-        if (x & mask).bit_count() > parts * rho:
-            return False
-    cert = _split(oracle, mask, parts)
-    if cert is None:
-        return True
-    certs.append(cert)
-    return False
+
+    def __init__(self, oracle: MatroidOracle):
+        self.oracle = oracle
+        self.certs = []     # (X, rho) of each failed query
+        self.states = {}    # part count -> (its _Parts, the mask it holds)
+
+    def query(self, mask: int, parts: int) -> bool:
+        for x, rho in self.certs:
+            if (x & mask).bit_count() > parts * rho:
+                return False
+        held = self.states.get(parts)
+        if held is None:
+            state = _Parts(self.oracle, _bits(mask), parts, cyclic=True)
+        else:
+            state, had = held
+            state.repair(had & ~mask, mask & ~had)
+        self.states[parts] = state, mask
+        cert = state.settle()
+        if cert is None:
+            return True
+        self.certs.append(cert)
+        return False
 
 
 def validate_instance(inst: GridInstance, check_basis_partition: bool = True) -> InstanceCheck:
@@ -397,7 +455,7 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
         above_at[t] = break_columns and decide
         if n > 1 and k - t // n >= 3:   # (module docstring)
             parts_at[t] = k - t // n
-    certs = [] if any(parts_at) else None   # failed splits, for `_lookahead`
+    splits = _Lookahead(M).query if any(parts_at) else None
     cells = [-1] * total
     rest = [0] * total       # rest[t]: untried candidates of cell t
     limit = -1 if node_budget is None else node_budget
@@ -428,7 +486,7 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
                 if above_at[t]:
                     cand &= -(2 << cells[t - n])
                 if (parts_at[t] and cand
-                        and not _lookahead(M, unused, parts_at[t], certs)):
+                        and not splits(unused, parts_at[t])):
                     cand = 0
                 continue
             count += 1

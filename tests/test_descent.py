@@ -334,6 +334,21 @@ def test_benchmark_descent_traces_are_pinned():
                                   "5c9603972fb510d1e5625a01a2ee0097")
 
 
+def test_rota_solve_keeps_the_reference_potential():
+    # rota_solve recounts only the block's rows and columns of its table of
+    # intersections after a step; replayed one step at a time, every block
+    # and potential must be the same, and each mu_after must be mu's own
+    inst = random_rota_instance(9, seed=3)
+    trace = rota_solve(inst)
+    dp = initial_double_partition(inst)
+    for s in trace.steps:
+        dp, step = descent_step(inst, dp, 3)
+        assert (step.block, step.mu_before, step.mu_after) == (
+            s.block, s.mu_before, s.mu_after)
+        assert step.mu_after == mu(dp)
+    assert trace.steps and mu(dp) == 0
+
+
 @pytest.mark.parametrize("n,steps,nodes",
                          [(12, 44, 1584), (16, 79, 3792), (20, 117, 7020)])
 def test_large_descent_is_pinned(n, steps, nodes):

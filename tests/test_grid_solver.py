@@ -417,44 +417,44 @@ def test_splits_into_bases_on_the_full_odd_wheel_33():
     assert time.perf_counter() - start < 1.0
 
 
-# --- the lookahead's certificate cache ------------------------------------------------
+# --- the lookahead's certificates and repaired partitions ----------------------------
 
 @pytest.fixture
 def audited(monkeypatch):
-    """Check every lookahead answer against the certificate cache's contract.
+    """Check every lookahead answer against the certificates' contract.
 
-    Each certificate (X, rho) stored after a failed split into `parts` parts
+    Each certificate (X, rho) stored after a failed query into `parts` parts
     must have |X| = parts * rho + 1 with rho = r(X) by the oracle's own rank,
-    and each query the cache refuses without a split must also be refused
-    by a fresh `splits_into_bases`.  Returns the tally of both events.
+    and each query refused with no partition run must also be refused by a
+    fresh `splits_into_bases`.  Returns the tally of both events.
     """
     tally = {"stored": 0, "refused": 0}
-    lookahead, split = rotagrid.grid._lookahead, rotagrid.grid._split
-    splits = []
+    query, settle = rotagrid.grid._Lookahead.query, rotagrid.grid._Parts.settle
+    runs = []
 
-    def counted(oracle, mask, parts):
-        splits.append(mask)
-        return split(oracle, mask, parts)
+    def counted(state):
+        runs.append(state)
+        return settle(state)
 
-    def checked(oracle, mask, parts, certs):
-        before = len(certs)
-        splits.clear()
-        answer = lookahead(oracle, mask, parts, certs)
-        fresh = len(splits)
+    def checked(look, mask, parts):
+        before = len(look.certs)
+        runs.clear()
+        answer = query(look, mask, parts)
+        fresh = len(runs)
         if not fresh:
             assert not answer
-            assert not splits_into_bases(oracle, mask, parts)
+            assert not splits_into_bases(look.oracle, mask, parts)
             tally["refused"] += 1
-        assert len(certs) == before + (fresh == 1 and not answer)
-        for x, rho in certs[before:]:
+        assert len(look.certs) == before + (fresh == 1 and not answer)
+        for x, rho in look.certs[before:]:
             assert x.bit_count() == parts * rho + 1
-            assert oracle.rank(e for e in range(x.bit_length())
-                               if x >> e & 1) == rho
+            assert look.oracle.rank(e for e in range(x.bit_length())
+                                    if x >> e & 1) == rho
             tally["stored"] += 1
         return answer
 
-    monkeypatch.setattr(rotagrid.grid, "_split", counted)
-    monkeypatch.setattr(rotagrid.grid, "_lookahead", checked)
+    monkeypatch.setattr(rotagrid.grid._Parts, "settle", counted)
+    monkeypatch.setattr(rotagrid.grid._Lookahead, "query", checked)
     return tally
 
 
@@ -480,19 +480,73 @@ def query_draws(draw):
 
 
 def test_certificates_refuse_only_what_does_not_split(audited):
-    # queries share one cache, as the columns of a solve do, and the cache
+    # queries share one lookahead, as the columns of a solve do, and it
     # must both store certificates and refuse queries with them
     @given(query_draws())
     @settings(max_examples=300, deadline=None)
     def sound(case):
         oracle, queries = case
-        certs = []
+        look = rotagrid.grid._Lookahead(oracle)
         for mask, parts in queries:
-            assert (rotagrid.grid._lookahead(oracle, mask, parts, certs)
-                    == splits_into_bases(oracle, mask, parts))
+            assert look.query(mask, parts) == splits_into_bases(oracle, mask, parts)
 
     sound()
     assert audited["stored"] and audited["refused"]
+
+
+@st.composite
+def sibling_draws(draw):
+    """A `split_draws` matroid with lookahead queries that arrive as sibling
+    columns do: most masks swap one to three elements of the one before,
+    and now and then a query has an unrelated mask or another part count."""
+    oracle, _, most = draw(split_draws())
+    r, m = oracle.rank_total, oracle.ground.size
+    parts = draw(st.integers(1, most))
+    mask = sum(1 << e for e in draw(st.permutations(range(m)))[:parts * r])
+    queries = [(mask, parts)]
+    for _ in range(draw(st.integers(1, 12))):
+        inside = [e for e in range(m) if mask >> e & 1]
+        outside = [e for e in range(m) if not mask >> e & 1]
+        move = draw(st.sampled_from(("swap",) * 6 + ("unrelated", "parts")))
+        if move == "swap" and inside and outside:
+            j = draw(st.integers(1, min(3, len(inside), len(outside))))
+            swapped = (draw(st.permutations(inside))[:j]
+                       + draw(st.permutations(outside))[:j])
+            mask ^= sum(1 << e for e in swapped)
+        else:
+            if move == "parts":
+                parts = draw(st.integers(1, most))
+            mask = sum(1 << e
+                       for e in draw(st.permutations(range(m)))[:parts * r])
+        queries.append((mask, parts))
+    return oracle, queries
+
+
+def test_repaired_partitions_answer_as_fresh_splits(monkeypatch):
+    # a repair drops the elements that left the mask and settles the ones
+    # that joined; every answer must be a fresh split's, and the draws must
+    # repair states that lost elements, with both answers
+    repair = rotagrid.grid._Parts.repair
+    seen = set()
+
+    def watched(state, gone, new):
+        seen.add("lost" if gone else "kept")
+        return repair(state, gone, new)
+
+    monkeypatch.setattr(rotagrid.grid._Parts, "repair", watched)
+
+    @given(sibling_draws())
+    @settings(max_examples=300, deadline=None)
+    def exact(case):
+        oracle, queries = case
+        look = rotagrid.grid._Lookahead(oracle)
+        for mask, parts in queries:
+            answer = look.query(mask, parts)
+            assert answer == splits_into_bases(oracle, mask, parts)
+            seen.add(answer)
+
+    exact()
+    assert {"lost", True, False} <= seen
 
 
 # --- determinism & symmetry soundness --------------------------------------------------
@@ -585,15 +639,15 @@ def test_count_matches_brute_force_under_the_lookahead(monkeypatch):
     # symmetry, so it must keep counts exact, and the draws must make it
     # answer both ways
     answers = set()
-    lookahead = rotagrid.grid._lookahead
+    query = rotagrid.grid._Lookahead.query
 
-    def recorded(oracle, mask, parts, certs):
-        # every answer, whether split afresh or refused by a certificate
-        answer = lookahead(oracle, mask, parts, certs)
+    def recorded(look, mask, parts):
+        # every answer, whether settled or refused by a certificate
+        answer = query(look, mask, parts)
         answers.add(answer)
         return answer
 
-    monkeypatch.setattr(rotagrid.grid, "_lookahead", recorded)
+    monkeypatch.setattr(rotagrid.grid._Lookahead, "query", recorded)
 
     @given(random_instances([(2, 4)], loops=False))
     @settings(max_examples=60, deadline=None)
@@ -634,6 +688,7 @@ def test_nodes_counted():
     ("odd-wheel-9", "decide", True, 2_415),
     ("odd-wheel-11", "decide", True, 9_792),
     ("odd-wheel-13", "decide", True, 38_811),
+    ("odd-wheel-15", "decide", True, 152_996),
     ("k4-c2", "count", True, 18),
     ("oxley-j", "count", True, 43),
     ("mcdiarmid", "count", True, 278),
