@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .matroid import (BasesRep, GraphicRep, GroundSet, LinearRep,
                       MatroidOracle, enumerate_bases, find_exchange_violation,
-                      is_disjoint_union_of_bases, rank_axiom_violations,
-                      verify_basis_axioms)
+                      is_disjoint_union_of_bases, rank_axiom_violations)
 from .grid import (NOT_REQUIRED, REQUIRED, Grid, GridInstance, InstanceCheck,
                    SolveReport, brute_force_count, count_solutions,
                    find_basis_partition, solve, splits_into_bases,
@@ -15,7 +14,7 @@ from .descent import (CounterexampleCertificate, DescentStep, DescentTrace,
                       DoublePartition, RotaInstance, Subinstance,
                       build_subinstance, check_double_partition, descent_step,
                       grid_from_double_partition, initial_double_partition,
-                      is_transversal, mu, rebuild, rota_solve, select_block)
+                      mu, rebuild, rota_solve, select_block)
 from .instances import (NamedInstance, SweepReport, builtin_instance,
                         builtin_names, c3_catalog, complete_graph_matroid,
                         enumerate_row_families, k4_c2_instance,

@@ -5,12 +5,18 @@ union of n bases B_1..B_n.  A double partition pairs a partition beta into
 n disjoint bases with a partition tau into n disjoint transversals (sets
 meeting every B_i exactly once), and carries the potential
 
-    mu(beta, tau) = sum over ordered pairs i != j of |beta_i ∩ tau_j|.
+    mu(beta, tau) = sum over ordered pairs i != j of |beta_i ∩ tau_j|
+                  = sum over i of |beta_i - tau_i|,
+
+the second form because tau partitions the ground set, so every element of
+beta_i outside tau_i lies in exactly one other tau_j.
 
 mu = 0 forces beta_i = tau_i for all i, and then the grid with (i, j) entry
 B_i ∩ tau_j solves the instance.  While mu > 0, one descent step picks a
-block of k indices around a nonempty off-diagonal intersection, restricts
-the matroid to the union S of the block's beta parts, solves the induced
+block of k indices around the lexicographically first nonempty off-diagonal
+intersection beta_i ∩ tau_j: i is the first index with beta_i ⊄ tau_i and j
+the first other index whose tau part beta_i meets.  It restricts the
+matroid to the union S of the block's beta parts, solves the induced
 n x k grid instance with rows I_i = B_i ∩ T ∩ S (T the union of the block's
 tau parts), and regroups: the subgrid's columns replace the block's beta
 parts, and the columns of a companion grid on B_i ∩ T replace the block's
@@ -69,13 +75,6 @@ class DoublePartition:
             raise ValueError("beta and tau must have the same number of parts")
 
 
-def is_transversal(inst: RotaInstance, elems) -> bool:
-    """True iff `elems` holds exactly one element of every B_i."""
-    s = frozenset(elems)
-    return (len(s) == inst.n
-            and all(len(s & b) == 1 for b in inst.bases))
-
-
 def check_double_partition(inst: RotaInstance, dp: DoublePartition) -> None:
     """Raise unless beta is a basis partition and tau a transversal partition."""
     n = inst.n
@@ -96,32 +95,13 @@ def check_double_partition(inst: RotaInstance, dp: DoublePartition) -> None:
 
 
 def mu(dp: DoublePartition) -> int:
-    """Potential: total off-diagonal intersection between beta and tau parts."""
-    return sum(len(b & t)
-               for i, b in enumerate(dp.beta)
-               for j, t in enumerate(dp.tau) if i != j)
+    """Potential: total off-diagonal intersection between beta and tau parts.
 
-
-def _intersections(dp: DoublePartition) -> list[list[int]]:
-    """The table of |beta_i ∩ tau_j|; its off-diagonal sum is mu(dp)."""
-    return [[len(b & t) for t in dp.tau] for b in dp.beta]
-
-
-def _recount(counts: list[list[int]], dp: DoublePartition,
-             block: Sequence[int]) -> int:
-    """Recount the block's rows and columns of `counts` for `dp`, which
-    differs from the double partition they were counted for only in the
-    block's parts, and return the change in mu."""
-    beta, tau = dp.beta, dp.tau
-    everything = range(len(beta))
-    change = 0
-    for i, row in enumerate(counts):
-        for j in (everything if i in block else block):
-            new = len(beta[i] & tau[j])
-            if i != j:
-                change += new - row[j]
-            row[j] = new
-    return change
+    It is read as the sum of |beta_i - tau_i|, which equals the off-diagonal
+    sum whenever tau partitions a set holding every beta part, as in every
+    double partition that `check_double_partition` accepts.
+    """
+    return sum(len(b - t) for b, t in zip(dp.beta, dp.tau))
 
 
 def initial_double_partition(inst: RotaInstance) -> DoublePartition:
@@ -141,8 +121,9 @@ def select_block(dp: DoublePartition, k: int) -> tuple[int, ...]:
     n = len(dp.beta)
     if k > n:
         raise ValueError(f"block size {k} exceeds {n} parts")
-    first = next(((i, j) for i in range(n) for j in range(n)
-                  if i != j and dp.beta[i] & dp.tau[j]), None)
+    first = next(((i, j) for i, (b, t) in enumerate(zip(dp.beta, dp.tau))
+                  if b - t for j, u in enumerate(dp.tau) if j != i and b & u),
+                 None)
     if first is None:
         raise ValueError("mu is zero: no off-diagonal intersection to fix")
     block = set(first)
@@ -162,9 +143,6 @@ class Subinstance:
     block: tuple[int, ...]
     span: frozenset[int]               # S: union of the block's beta parts
     trace_set: frozenset[int]          # T: union of the block's tau parts
-
-    def to_parent(self, e: int) -> int:
-        return self.parent_elements[e]
 
 
 def build_subinstance(inst: RotaInstance, dp: DoublePartition,
@@ -273,13 +251,6 @@ def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
     Returns (new_dp, DescentStep) on success, or a CounterexampleCertificate
     when the block subproblem is unsolvable.
     """
-    return _step(inst, dp, _intersections(dp), mu(dp), k, solver)
-
-
-def _step(inst: RotaInstance, dp: DoublePartition, counts: list[list[int]],
-          mu_before: int, k: int, solver: Solver):
-    """`descent_step` given `counts`, the intersection table of `dp`, and
-    `mu_before`, its potential; on success `counts` becomes the new table."""
     if inst.n < 3 or k < 3:
         raise ValueError("descent requires n >= 3 and block size k >= 3")
     block = select_block(dp, k)   # raises when mu is zero
@@ -292,7 +263,7 @@ def _step(inst: RotaInstance, dp: DoublePartition, counts: list[list[int]],
             for b in block)
         return CounterexampleCertificate(sub.instance, beta_sub, report)
     new_dp = rebuild(inst, dp, sub, report.grid)
-    mu_after = mu_before + _recount(counts, new_dp, block)
+    mu_before, mu_after = mu(dp), mu(new_dp)
     if mu_after >= mu_before:
         raise AssertionError(
             f"potential failed to decrease: {mu_before} -> {mu_after}")
@@ -322,11 +293,10 @@ def rota_solve(inst: RotaInstance, k: int = 3,
         raise ValueError(f"block size {k} exceeds n = {n}")
 
     dp = initial_double_partition(inst)
-    counts = _intersections(dp)   # kept up to date by each step
     potential = mu(dp)
     steps: list[DescentStep] = []
     while potential > 0:
-        outcome = _step(inst, dp, counts, potential, k, solver)
+        outcome = descent_step(inst, dp, k, solver)
         if isinstance(outcome, CounterexampleCertificate):
             return DescentTrace(tuple(steps), None, outcome)
         dp, step = outcome

@@ -221,7 +221,11 @@ def parse_matroid(text: str, check_exchange: bool = True) -> MatroidOracle:
 
 
 def serialize_matroid(oracle: MatroidOracle) -> str:
-    out = ["MATROID v1", f"NAME {oracle.name}".rstrip(),
+    name = oracle.name
+    # the parser drops a comment and joins the NAME tokens with one space
+    if "#" in name or " ".join(name.split()) != name:
+        raise ValueError(f"matroid name {name!r} does not survive a round trip")
+    out = ["MATROID v1", f"NAME {name}".rstrip(),
            f"GROUND {oracle.ground.size}"]
     rep = oracle.rep
     if isinstance(rep, LinearRep):

@@ -187,23 +187,6 @@ class MatroidOracle:
         kind = type(self.rep).__name__
         return f"MatroidOracle({self.name or kind}, m={self.size}, rank={self.rank_total})"
 
-    def _mask_of(self, elems: Iterable[int]) -> int:
-        # ORing 1 << e into a growing int copies it for every element, which
-        # is quadratic; one string of binary digits as long as the largest
-        # element is linear, and int(_, 2) reads it in linear time
-        elems = list(elems)
-        if not elems:
-            return 0
-        m = self.ground.size
-        top = max(elems)
-        if top >= m or min(elems) < 0:
-            bad = next(e for e in elems if not 0 <= e < m)
-            raise IndexError(f"element {bad} outside ground set of size {m}")
-        digits = bytearray(b"0") * (top + 1)
-        for e in elems:
-            digits[top - e] = 49  # ord("1"): digit top - e is bit e
-        return int(digits, 2)
-
     def _sorted(self, elems: Iterable[int]) -> list[int]:
         # the distinct elements in increasing order; the two ends decide
         # whether any lies outside the ground set
@@ -216,7 +199,7 @@ class MatroidOracle:
 
     def rank(self, elems: Iterable[int]) -> int:
         if self._table is not None:
-            return self._table[self._mask_of(elems)]
+            return self._table[_mask(self._sorted(elems))]  # a table has m <= 12
         return tester_for(self).rank(self._sorted(elems), self._ceiling)
 
     def is_independent(self, elems: Iterable[int]) -> bool:
@@ -226,15 +209,6 @@ class MatroidOracle:
     def is_basis(self, elems: Iterable[int]) -> bool:
         s = set(elems)
         return len(s) == self.rank_total and self.rank(s) == len(s)
-
-    def closure(self, elems: Iterable[int]) -> frozenset[int]:
-        base = set(elems)
-        r = self.rank(base)
-        out = set()
-        for x in range(self.ground.size):
-            if x in base or self.rank(base | {x}) == r:
-                out.add(x)
-        return frozenset(out)
 
     def loops(self) -> frozenset[int]:
         if self._loops is None:
@@ -419,11 +393,6 @@ def find_exchange_violation(family: Iterable[Iterable[int]]):
                 if not z & mb:
                     return (a, x, b)
     return None
-
-
-def verify_basis_axioms(family: Iterable[Iterable[int]]) -> bool:
-    """True iff the family satisfies the pairwise basis-exchange axiom."""
-    return find_exchange_violation(family) is None
 
 
 def is_disjoint_union_of_bases(oracle: MatroidOracle, parts: Sequence[Iterable[int]]) -> bool:

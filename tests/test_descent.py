@@ -156,8 +156,7 @@ def test_subinstance_restriction_maps_back():
     dp = initial_double_partition(inst)
     sub = build_subinstance(inst, dp, select_block(dp, 3))
     assert len(sub.parent_elements) == 12
-    for i, e in enumerate(sub.parent_elements):
-        assert sub.to_parent(i) == e
+    assert sub.parent_elements == tuple(sorted(sub.span))
 
 
 # --- rebuild ------------------------------------------------------------------------
@@ -313,20 +312,24 @@ def test_rota_random_instances_strictly_decreasing_mu():
             assert trace.steps[-1].mu_after == 0
 
 
+def digest_trace(digest, trace):
+    # every step's block, mu before and after, nodes, subgrid and parent
+    # elements, and the final grid
+    for s in trace.steps:
+        digest.update(repr((s.block, s.mu_before, s.mu_after, s.report.nodes,
+                            s.report.grid,
+                            s.subinstance.parent_elements)).encode())
+    digest.update(repr(trace.grid).encode())
+
+
 def test_benchmark_descent_traces_are_pinned():
-    # the 100 descents at n = 3..6, seeds 0..24: every step's block, mu
-    # before and after, nodes, subgrid and parent elements, and each final
-    # grid, fixed by the search order
+    # the 100 descents at n = 3..6, seeds 0..24, fixed by the search order
     digest = hashlib.sha256()
     steps = nodes = 0
     for n in (3, 4, 5, 6):
         for seed in range(25):
             trace = rota_solve(random_rota_instance(n, seed))
-            for s in trace.steps:
-                digest.update(repr((s.block, s.mu_before, s.mu_after,
-                                    s.report.nodes, s.report.grid,
-                                    s.subinstance.parent_elements)).encode())
-            digest.update(repr(trace.grid).encode())
+            digest_trace(digest, trace)
             steps += len(trace.steps)
             nodes += sum(s.report.nodes for s in trace.steps)
     assert (steps, nodes) == (501, 8199)
@@ -335,9 +338,9 @@ def test_benchmark_descent_traces_are_pinned():
 
 
 def test_rota_solve_keeps_the_reference_potential():
-    # rota_solve recounts only the block's rows and columns of its table of
-    # intersections after a step; replayed one step at a time, every block
-    # and potential must be the same, and each mu_after must be mu's own
+    # rota_solve loops while the last step's mu_after is positive; replayed
+    # one step at a time, every block and potential must be the same, and
+    # each mu_after must be mu of the double partition the step returned
     inst = random_rota_instance(9, seed=3)
     trace = rota_solve(inst)
     dp = initial_double_partition(inst)
@@ -361,9 +364,22 @@ def test_large_descent_is_pinned(n, steps, nodes):
     assert sum(s.report.nodes for s in trace.steps) == nodes
 
 
-def test_every_intermediate_dp_is_valid():
-    from rotagrid.descent import is_transversal
+def reference_mu(dp):
+    return sum(len(b & t) for i, b in enumerate(dp.beta)
+               for j, t in enumerate(dp.tau) if i != j)
 
+
+def reference_block(dp, k):
+    # the lexicographically first off-diagonal pair by an n^2 scan, padded
+    # with the smallest other indices
+    n = len(dp.beta)
+    first = next((i, j) for i in range(n) for j in range(n)
+                 if i != j and dp.beta[i] & dp.tau[j])
+    pad = [x for x in range(n) if x not in first][:k - 2]
+    return tuple(sorted([*first, *pad]))
+
+
+def test_every_intermediate_dp_is_valid():
     inst = random_rota_instance(5, seed=17)
     dp = initial_double_partition(inst)
     while mu(dp) > 0:
@@ -371,8 +387,37 @@ def test_every_intermediate_dp_is_valid():
         assert not isinstance(outcome, CounterexampleCertificate)
         dp, _ = outcome
         check_double_partition(inst, dp)
-        for t in dp.tau:
-            assert is_transversal(inst, t)
+        assert mu(dp) == reference_mu(dp)
+        if mu(dp):
+            for k in range(3, inst.n + 1):
+                assert select_block(dp, k) == reference_block(dp, k)
+
+
+@pytest.mark.parametrize("n,k,pins", [
+    (5, 4, [(3, 65, "5c371711f7bce7362ae96844528d31fc"),
+            (3, 60, "7bf270018337687f4d4f5d72ab6f080d"),
+            (3, 60, "7bf270018337687f4d4f5d72ab6f080d")]),
+    (6, 4, [(6, 144, "7a09665599ed8cef0b27e89546a9a44c")] * 3),
+    (6, 5, [(3, 90, "1050e4a8bb6a687b6cfd5b9d26b5ff15"),
+            (3, 90, "1050e4a8bb6a687b6cfd5b9d26b5ff15"),
+            (3, 90, "4ec523e9865919a65dd9ca5855ebbe4f")]),
+    (8, 4, [(14, 448, "c8fa4c6ddd5ac43d8902b4473be9ce0f")] * 3),
+    (8, 5, [(10, 400, "dbf664094bdb0d81fd52fb8b21c9c745")] * 3),
+])
+def test_wide_block_descents_are_pinned(n, k, pins):
+    # descents with blocks of k > 3 parts at seeds 0..2: steps, subsolve
+    # nodes and a trace digest, fixed by the search order
+    for seed, pin in enumerate(pins):
+        inst = random_rota_instance(n, seed)
+        trace = rota_solve(inst, k=k)
+        grid_inst = GridInstance(inst.matroid, n, n, inst.bases, REQUIRED)
+        assert validate_grid(grid_inst, trace.grid)
+        assert all(len(s.block) == k for s in trace.steps)
+        digest = hashlib.sha256()
+        digest_trace(digest, trace)
+        got = (len(trace.steps), sum(s.report.nodes for s in trace.steps),
+               digest.hexdigest()[:32])
+        assert got == pin, (n, k, seed)
 
 
 def test_rota_block_size_above_n_rejected():

@@ -46,6 +46,23 @@ def test_grid_instance_round_trip(name, tmp_path):
     assert instance_digest(reparsed) == instance_digest(inst)
 
 
+@pytest.mark.parametrize("name,survives", [
+    ("a#b", False), ("two  spaces", False), (" lead", False),
+    ("line\nbreak", False), ("u39 spaced name", True)])
+def test_matroid_name_round_trips_or_is_refused(name, survives):
+    # a comment mark, or whitespace other than single inner spaces, would
+    # read back as another name and change the digest
+    oracle = uniform_matroid(2, 4, name=name)
+    if not survives:
+        with pytest.raises(ValueError) as info:
+            serialize_matroid(oracle)
+        assert repr(name) in str(info.value)
+        return
+    reparsed = parse_matroid(serialize_matroid(oracle))
+    assert reparsed.name == name
+    assert matroid_digest(reparsed) == matroid_digest(oracle)
+
+
 def test_serialization_independent_of_set_order():
     m = uniform_matroid(2, 4)
     a = GridInstance(m, 2, 2, (frozenset({3, 0}), frozenset({2, 1})))
