@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from rotagrid import (REQUIRED, DoublePartition, GridInstance, RotaInstance,
                       SolveReport, build_subinstance, check_double_partition,
-                      descent_step, grid_from_double_partition,
-                      initial_double_partition, mu, random_rota_instance,
+                      descent_step, find_basis_partition,
+                      grid_from_double_partition, initial_double_partition,
+                      mu, random_graphic_matroid, random_rota_instance,
                       rebuild, rota_solve, select_block, uniform_matroid,
                       validate_grid)
 from rotagrid.descent import CounterexampleCertificate
@@ -335,6 +336,23 @@ def test_benchmark_descent_traces_are_pinned():
     assert (steps, nodes) == (501, 8199)
     assert digest.hexdigest() == ("9fb9b569d38a054b7fd36b1744a18e52"
                                   "5c9603972fb510d1e5625a01a2ee0097")
+
+
+def test_graphic_descent_traces_are_pinned():
+    # the benchmark descents are linear; these blocks are graphic
+    # restrictions with many parallel classes, split by their least partition
+    digest = hashlib.sha256()
+    steps = nodes = 0
+    for n in (3, 4, 5, 6):
+        for seed in range(5):
+            o = random_graphic_matroid(n + 1, n * n, seed)
+            trace = rota_solve(RotaInstance(o, find_basis_partition(o, n)))
+            digest_trace(digest, trace)
+            steps += len(trace.steps)
+            nodes += sum(s.report.nodes for s in trace.steps)
+    assert (steps, nodes) == (102, 64961)
+    assert digest.hexdigest() == ("812381dc03893d445374f94981779863"
+                                  "b0c45175a1c43d8245dbf77280e4eded")
 
 
 def test_rota_solve_keeps_the_reference_potential():
