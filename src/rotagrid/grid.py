@@ -388,25 +388,6 @@ def validate_instance(inst: GridInstance, check_basis_partition: bool = True) ->
     return InstanceCheck(not failures, tuple(failures))
 
 
-def _parallel_successors(inst: GridInstance, row_of: Sequence[int]):
-    """Per-element bit of the next member of its same-row parallel class.
-
-    Elements e, f are interchangeable when they are parallel in the matroid
-    (rank{e}=rank{f}=rank{e,f}=1) and carry the same row constraint; swapping
-    them maps valid grids to valid grids, so in decision mode each class may
-    be placed in increasing index order only.  A last member has entry 0.
-    """
-    succ = [0] * inst.matroid.ground.size
-    for cls in inst.matroid.parallel_classes():
-        if len(cls) > 1:
-            # a stable sort keeps each row's members in increasing order
-            group = sorted(cls, key=row_of.__getitem__)
-            for e, f in zip(group, group[1:]):
-                if row_of[e] == row_of[f]:
-                    succ[e] = 1 << f
-    return succ
-
-
 def _search(inst: GridInstance, mode: str, break_columns: bool,
             break_parallel: bool, node_budget: int | None = None):
     """Core backtracking run.  Returns (count, first_grid, nodes); count is
@@ -420,15 +401,29 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
     if not total:
         return 1, tuple(() for _ in range(n)), 0
 
-    # exact shortcuts: a loop can never sit in a basis column, and columns of
-    # size n are bases only when the whole matroid has rank n
-    if M.rank_total != n or M.loops():
+    # exact shortcut: columns of size n are bases only when the whole
+    # matroid has rank n
+    if M.rank_total != n:
         return 0, None, 0
 
     row_of = [-1] * m
     for i, row in enumerate(inst.rows):
         for e in row:
             row_of[e] = i
+    decide = mode == "decide"
+    # succ[e]: the bit of the next element parallel to e and bound to its
+    # row, 0 if none; in decision mode each such group is placed in
+    # increasing index order (module docstring)
+    succ = [0] * m
+    last = {}               # (class, row) -> its latest member so far
+    for e, c in enumerate(M.class_ids()):
+        if c < 0:           # a loop can never sit in a basis column
+            return 0, None, 0
+        if break_parallel and decide:
+            group = c, row_of[e]
+            if group in last:
+                succ[last[group]] = 1 << e
+            last[group] = e
     own = [0] * (n + 1)    # own[i]: the elements bound to row i; own[-1]: free
     for e, i in enumerate(row_of):
         own[i] |= 1 << e
@@ -436,9 +431,6 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
     wide = [mask | free_mask for mask in own]  # all row i may take
     unused = (1 << m) - 1
     slack = [k - len(row) for row in inst.rows]
-    decide = mode == "decide"
-    succ = (_parallel_successors(inst, row_of)
-            if break_parallel and decide else [0] * m)
     # a member waits for its predecessor; successor bits are disjoint
     ready = unused & ~sum(succ)
 

@@ -8,20 +8,22 @@ place, its incremental tester; every rank, rank table and loop is computed
 through that tester.  A full 2^m rank table is built only where a caller
 asks for one (`build_rank_table`: the sweep, row-family enumeration, brute
 force counts, the axiom audit); once built, ranks and testers read it.
-Parallel classes come from a key read off the representation (a column's
-primitive direction, an edge's endpoints, the bases through an element),
-which the tests check against the tester.  All arithmetic is exact -- the
-linear tester eliminates over integers (Bareiss), never floating point.  It
-packs each integer column into one int of signed fields wide enough for
-every minor, so an elimination step is a few operations on whole ints; an
-oracle packs its columns once and hands them to its restrictions, and a
-greedy rank is one elimination loop inside the tester.
+Loops and parallel classes live in one per-element index (`class_ids`):
+the tester finds the loops, and a key read off the representation (a
+column's primitive direction, an edge's endpoints, the bases through an
+element) groups the rest, which the tests check against the tester.  All
+arithmetic is exact -- the linear tester eliminates over integers
+(Bareiss), never floating point.  It packs each integer column into one int
+of signed fields wide enough for every minor, so an elimination step is a
+few operations on whole ints; an oracle packs its columns once and hands
+them to its restrictions, and a greedy rank is one elimination loop inside
+the tester.
 
 A restriction M|S has M's rank on every subset of S, so whatever the rank
 of small sets decides is M's too: an element of S is a loop of M|S iff it
 is a loop of M, and two elements of S are parallel in M|S iff they are in
-M.  A restriction therefore reads its loops and parallel classes off its
-parent's instead of recomputing them.
+M.  A restriction's index is therefore M's taken at the elements of S, and
+is never recomputed.
 """
 
 from __future__ import annotations
@@ -33,15 +35,23 @@ from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
+def _inexact(x) -> TypeError:
+    return TypeError(f"refusing inexact entry {x!r}; use int, Fraction, or 'a/b' string")
+
+
 def _as_fraction(x) -> Fraction:
     # floats are rejected: rank decisions must be exact
     if isinstance(x, float):
-        raise TypeError(f"refusing inexact entry {x!r}; use int, Fraction, or 'a/b' string")
+        raise _inexact(x)
     return Fraction(x)
 
 
 def _integer_column(col: Sequence) -> tuple[int, ...]:
-    # the column times the lcm of its denominators: same span, integer entries
+    # the column times the lcm of its denominators: same span, integer
+    # entries; only an int or a Fraction is an exact entry
+    for x in col:
+        if not isinstance(x, (int, Fraction)):
+            raise _inexact(x)
     scale = lcm(*[x.denominator for x in col])
     return tuple([x.numerator * (scale // x.denominator) for x in col])
 
@@ -144,8 +154,10 @@ class MatroidOracle:
 
     A rank query reads the rank table once one is built, and otherwise grows
     a greedy independent subset with a fresh tester.  After construction the
-    only mutations are the lazily built table, loops and parallel classes.
-    A restriction keeps its parent (`_parent`) to read those two off.
+    only mutations are the lazily built table and class index; a restriction
+    is handed its index by `restrict`.  `ground_size` must be the size of a
+    linear or graphic representation; a basis family may be padded with
+    trailing loops.
     """
 
     def __init__(self, rep: Representation, names: Sequence[str] | None = None,
@@ -153,15 +165,16 @@ class MatroidOracle:
                  _packing=None):
         self.rep = rep
         m = rep.size if ground_size is None else ground_size
-        if isinstance(rep, BasesRep) and rep.size > m:
-            raise ValueError("basis family references elements outside the ground set")
+        if isinstance(rep, BasesRep):
+            if rep.size > m:
+                raise ValueError("basis family references elements outside the ground set")
+        elif m != rep.size:
+            raise ValueError(f"ground size {m} differs from the {rep.size} "
+                             f"elements of the representation")
         self.ground = GroundSet(m, tuple(names) if names is not None else None)
         self.name = name
         self.parent_elements: tuple[int, ...] | None = None
-        self._parent: MatroidOracle | None = None
         self._table: list[int] | None = None
-        self._loops: frozenset[int] | None = None
-        self._parallel_classes: tuple[tuple[int, ...], ...] | None = None
         self._class_ids: list[int] | None = None
         # no subset's rank exceeds the ceiling, so a greedy scan stops there
         if isinstance(rep, BasesRep):
@@ -170,7 +183,7 @@ class MatroidOracle:
         elif isinstance(rep, LinearRep):
             if _packing is None:
                 # the integer columns are kept for `_parallel_key`; a
-                # restriction inherits its classes and gets the packing only
+                # restriction inherits its class index and gets the packing
                 self._columns = _columns or tuple(_integer_column(c) for c in rep.columns)
                 _packing = _pack(self._columns, rep.dim)
             self._packing = _packing
@@ -210,50 +223,34 @@ class MatroidOracle:
         s = set(elems)
         return len(s) == self.rank_total and self.rank(s) == len(s)
 
-    def loops(self) -> frozenset[int]:
-        if self._loops is None:
-            if self._parent is not None:
-                self._loops = frozenset(
-                    [e for e, c in enumerate(self._ids()) if c < 0])
-            else:
-                tester = tester_for(self)
-                self._loops = frozenset(
-                    e for e in range(self.ground.size) if not tester.can_add(e))
-        return self._loops
+    def class_ids(self) -> list[int]:
+        """Per element, the index of its parallel class, -1 for a loop.
 
-    def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Non-loop elements grouped by pairwise parallelism (rank{e,f} = 1),
-        classes ordered by least element, members increasing.
-
-        Two non-loops are parallel iff their keys are equal: the primitive
-        integer direction of a column, the endpoint pair of an edge, or the
-        sets B - e over the bases B containing e (no basis holds both).  A
-        restriction has its parent's rank on every subset of its elements,
-        so its classes are the parent's cut down to those elements: it
-        groups its elements, in its own order, by their parent's class.
+        Two non-loops are parallel (rank{e,f} = 1) iff their keys are
+        equal: the primitive integer direction of a column, the endpoint
+        pair of an edge, or the sets B - e over the bases B containing e (no
+        basis holds both).  An oracle numbers its classes by first
+        appearance; a restriction keeps its parent's numbers (`restrict`).
         """
-        if self._parallel_classes is None:
-            groups: dict = {}
-            for e, c in enumerate(self._ids()):
-                if c >= 0:
-                    groups.setdefault(c, []).append(e)
-            self._parallel_classes = tuple(map(tuple, groups.values()))
-        return self._parallel_classes
-
-    def _ids(self) -> list[int]:
-        # per element, the index of its parallel class, -1 for a loop; a
-        # restriction reads its parent's at its parent elements and keeps
-        # no copy, since it caches its loops and classes
-        if self._parent is not None:
-            ids = self._parent._ids()
-            return [ids[e] for e in self.parent_elements]
         if self._class_ids is None:
-            loops = self.loops()
+            tester = tester_for(self)
             index: dict = {}
             self._class_ids = [
-                -1 if e in loops else index.setdefault(self._parallel_key(e), len(index))
-                for e in range(self.ground.size)]
+                index.setdefault(self._parallel_key(e), len(index))
+                if tester.can_add(e) else -1 for e in range(self.ground.size)]
         return self._class_ids
+
+    def loops(self) -> frozenset[int]:
+        return frozenset([e for e, c in enumerate(self.class_ids()) if c < 0])
+
+    def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
+        """Non-loop elements grouped by their class index, classes ordered
+        by least element, members increasing."""
+        groups: dict = {}
+        for e, c in enumerate(self.class_ids()):
+            if c >= 0:
+                groups.setdefault(c, []).append(e)
+        return tuple(map(tuple, groups.values()))
 
     def _parallel_key(self, e: int):
         rep = self.rep
@@ -272,8 +269,8 @@ class MatroidOracle:
         The returned oracle's ``parent_elements[i]`` is the original index of
         its element ``i``; its rank function agrees with this oracle on every
         subset of `subset`.  Loops and parallel pairs are decided by ranks of
-        sets of at most two elements, so the restriction reads its loops and
-        parallel classes off this oracle's and never recomputes them.
+        sets of at most two elements, so the restriction's class index is
+        this oracle's taken at `subset`, never recomputed.
         """
         elems = self._sorted(subset)
         names = None
@@ -294,7 +291,8 @@ class MatroidOracle:
         sub = MatroidOracle(sub_rep, names=names, name=self.name,
                             ground_size=len(elems), _packing=packing)
         sub.parent_elements = tuple(elems)
-        sub._parent = self
+        ids = self.class_ids()
+        sub._class_ids = [ids[e] for e in elems]
         return sub
 
     def build_rank_table(self) -> list[int]:

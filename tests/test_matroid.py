@@ -7,7 +7,9 @@ graphic loops and parallel classes, and a pairwise tester walk for the
 parallel classes of every representation.
 """
 
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -164,8 +166,19 @@ def test_rank_rejects_out_of_range(k4):
 
 
 def test_linear_rep_rejects_floats():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="refusing inexact entry 0.5"):
         LinearRep.from_columns([(0.5, 1), (1, 0)])
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5")], ids=["float", "decimal"])
+def test_oracle_and_tester_refuse_inexact_entries(bad):
+    # a representation built without `from_columns` is refused where its
+    # columns are scaled to integers, with the message `from_columns` gives
+    refusal = f"refusing inexact entry {re.escape(repr(bad))}"
+    with pytest.raises(TypeError, match=refusal):
+        MatroidOracle(LinearRep(2, ((bad, 1), (1, 0))))
+    with pytest.raises(TypeError, match=refusal):
+        LinearTester([(1, 0), (0, bad)])
 
 
 # --- independence / bases ----------------------------------------------------
@@ -469,6 +482,24 @@ def test_ground_set_labels():
         GroundSet(3, ("a",))
 
 
+@pytest.mark.parametrize("rep", [
+    LinearRep.from_columns([(1, 0), (0, 1)]), GraphicRep(2, ((0, 1), (1, 1)))],
+    ids=["linear", "graphic"])
+def test_oracle_refuses_a_ground_size_its_representation_lacks(rep):
+    # a linear or graphic ground set is its columns or edges, no more, no fewer
+    for m in (1, 3):
+        with pytest.raises(ValueError, match=f"ground size {m} differs"):
+            MatroidOracle(rep, ground_size=m)
+    assert MatroidOracle(rep, ground_size=2).size == 2
+
+
+def test_bases_oracle_pads_with_trailing_loops_only():
+    rep = BasesRep.from_sets(1, [{0}, {1}])
+    assert MatroidOracle(rep, ground_size=4).loops() == {2, 3}
+    with pytest.raises(ValueError, match="outside the ground set"):
+        MatroidOracle(rep, ground_size=1)
+
+
 def test_bases_rep_validates_cardinality():
     with pytest.raises(ValueError):
         BasesRep.from_sets(2, [{0, 1}, {2}])
@@ -638,7 +669,8 @@ def test_restriction_inherits_loops_and_parallel_classes(draw, parent_first,
         oracle.parallel_classes()
     sub = oracle.restrict(s)
     inner = sub.restrict(t)
-    assert (sub._parent, inner._parent) == (oracle, sub)
+    assert sub.class_ids() == [oracle.class_ids()[e] for e in sub.parent_elements]
+    assert inner.class_ids() == [sub.class_ids()[e] for e in inner.parent_elements]
     for M in (inner, sub) if inner_first else (sub, inner):
         fresh = MatroidOracle(M.rep, ground_size=M.ground.size)
         classes = M.parallel_classes()
