@@ -116,9 +116,12 @@ def select_block(dp: DoublePartition, k: int) -> tuple[int, ...]:
     """Indices of the beta/tau parts to regroup, as a sorted k-tuple.
 
     The block contains the lexicographically first pair (i, j), i != j, with
-    beta_i ∩ tau_j nonempty, padded with the smallest indices outside {i, j}.
+    beta_i ∩ tau_j nonempty, padded with the smallest indices outside {i, j},
+    so k must be at least 2.
     """
     n = len(dp.beta)
+    if k < 2:
+        raise ValueError(f"block size {k} cannot hold a pair i != j")
     if k > n:
         raise ValueError(f"block size {k} exceeds {n} parts")
     first = next(((i, j) for i, (b, t) in enumerate(zip(dp.beta, dp.tau))
@@ -226,7 +229,6 @@ class DescentTrace:
     steps: tuple[DescentStep, ...]
     grid: Grid | None
     certificate: CounterexampleCertificate | None
-    direct_report: SolveReport | None = None   # set for the n <= 2 direct solve
 
     def to_dict(self) -> dict:
         """The `rota` report's result: status, grid and serialized steps."""
@@ -286,9 +288,9 @@ def rota_solve(inst: RotaInstance, k: int = 3,
         direct = GridInstance(inst.matroid, n, n, inst.bases, REQUIRED)
         report = solver(direct)
         if report.status == "SAT":
-            return DescentTrace((), report.grid, None, direct_report=report)
+            return DescentTrace((), report.grid, None)
         cert = CounterexampleCertificate(direct, inst.bases, report)
-        return DescentTrace((), None, cert, direct_report=report)
+        return DescentTrace((), None, cert)
     if k > n:
         raise ValueError(f"block size {k} exceeds n = {n}")
 

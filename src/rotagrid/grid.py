@@ -31,7 +31,9 @@ Symmetry breaking is applied only in decision mode, where it is sound:
 column permutations act freely on solutions (row-0 entries are forced to
 increase across columns), and so do exchanges of parallel elements that
 share a row constraint (each class is placed in increasing index order).
-Count mode enumerates labeled grids with no symmetry reduction.
+`solve(symmetry=False)` turns both rules off, a second search path for
+checking an UNSAT.  Count mode enumerates labeled grids with no symmetry
+reduction.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
 
 class _Parts:
     """A matroid partition in progress.  Part j holds its pinned elements,
-    which never move, and at most `room[j]` `free` ones; `full[j]` is a
+    which never move, and `free` ones, at most the rank in all; `full[j]` is a
     tester holding all of it, in the order pinned then free, and `pins[j]`
     one holding its pins.  Part j extends its pins P_j: matroid partition
     over the contractions M/P_j.  Each element starts in the first part that
@@ -162,17 +164,17 @@ class _Parts:
         self.oracle = oracle
         self.free = free = [[] for _ in range(parts)]
         self.pinned = [[] for _ in range(parts)]
-        self.room = room = [oracle.rank_total] * parts
         self.part_of = part_of = [-1] * oracle.ground.size
         self.full = full = [tester_for(oracle) for _ in range(parts)]
         self.pins = [tester_for(oracle) for _ in range(parts)]
         self.left = left = []
+        rank = oracle.rank_total
         j = -1
         for e in elems:
             for i in range(1, parts + 1):
                 p = (j + i) % parts if cyclic else i - 1
                 # a full part takes nothing: skip it before a costly test
-                if len(free[p]) < room[p] and full[p].can_add(e):
+                if len(free[p]) < rank and full[p].can_add(e):
                     full[p].push(e)
                     free[p].append(e)
                     part_of[e] = j = p
@@ -238,9 +240,10 @@ class _Parts:
         independent."""
         free, part_of, full = self.free, self.part_of, self.full
         everywhere = range(len(free))
+        rank, pinned = self.oracle.rank_total, self.pinned
         # no part gains room while the path is sought, so the sinks are
         # among the parts with room now, still tried in increasing order
-        roomy = [j for j in everywhere if len(free[j]) < self.room[j]]
+        roomy = [j for j in everywhere if len(free[j]) + len(pinned[j]) < rank]
 
         def sink_of(x, targets):
             return next((j for j in targets
@@ -297,7 +300,9 @@ class _Parts:
         """Pin e to the first of the `earlier` parts that an augmenting path
         from e, entering it first, can move e into, else to its own part."""
         c = self.part_of[e]
-        tries = [q for q in earlier if self.room[q] and self.pins[q].can_add(e)]
+        rank = self.oracle.rank_total
+        tries = [q for q in earlier
+                 if len(self.pinned[q]) < rank and self.pins[q].can_add(e)]
         if tries:
             free, full = self.free[c], self.full[c]
             self.free[c] = [f for f in free if f != e]
@@ -309,7 +314,6 @@ class _Parts:
             c = q
         self.free[c].remove(e)
         self.pinned[c].append(e)
-        self.room[c] -= 1
         self.pins[c].push(e)
         return c
 
@@ -388,8 +392,8 @@ def validate_instance(inst: GridInstance, check_basis_partition: bool = True) ->
     return InstanceCheck(not failures, tuple(failures))
 
 
-def _search(inst: GridInstance, mode: str, break_columns: bool,
-            break_parallel: bool, node_budget: int | None = None):
+def _search(inst: GridInstance, mode: str, symmetry: bool,
+            node_budget: int | None = None):
     """Core backtracking run.  Returns (count, first_grid, nodes); count is
     None when the search would place node `node_budget + 1`."""
     M = inst.matroid
@@ -411,6 +415,7 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
         for e in row:
             row_of[e] = i
     decide = mode == "decide"
+    breaking = symmetry and decide
     # succ[e]: the bit of the next element parallel to e and bound to its
     # row, 0 if none; in decision mode each such group is placed in
     # increasing index order (module docstring)
@@ -419,7 +424,7 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
     for e, c in enumerate(M.class_ids()):
         if c < 0:           # a loop can never sit in a basis column
             return 0, None, 0
-        if break_parallel and decide:
+        if breaking:
             group = c, row_of[e]
             if group in last:
                 succ[last[group]] = 1 << e
@@ -444,7 +449,7 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
     above_at = [False] * total
     parts_at = [0] * total
     for t in range(n, total, n):
-        above_at[t] = break_columns and decide
+        above_at[t] = breaking
         if n > 1 and k - t // n >= 3:   # (module docstring)
             parts_at[t] = k - t // n
     splits = _Lookahead(M).query if any(parts_at) else None
@@ -501,9 +506,9 @@ def _search(inst: GridInstance, mode: str, break_columns: bool,
 
 
 def solve(inst: GridInstance, mode: str = "decide", *,
-          break_columns: bool = True, break_parallel: bool = True,
-          node_budget: int | None = None) -> SolveReport:
-    """Solve (decision) or count grids for `inst`.
+          symmetry: bool = True, node_budget: int | None = None) -> SolveReport:
+    """Solve (decision) or count grids for `inst`; `symmetry=False` turns
+    off the decision mode's symmetry breaking (module docstring).
 
     Deterministic for a fixed instance: reports are identical across runs up
     to `millis`.  With a `node_budget`, a search that would place more nodes
@@ -515,8 +520,7 @@ def solve(inst: GridInstance, mode: str = "decide", *,
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     t0 = time.perf_counter()
-    count, grid, nodes = _search(inst, mode, break_columns, break_parallel,
-                                 node_budget)
+    count, grid, nodes = _search(inst, mode, symmetry, node_budget)
     millis = (time.perf_counter() - t0) * 1000.0
     status = "UNKNOWN" if count is None else "SAT" if count else "UNSAT"
     return SolveReport(status=status, grid=grid if status == "SAT" else None,

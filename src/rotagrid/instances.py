@@ -387,7 +387,7 @@ def _orbit_maximal_families(table: Sequence[int], indep: Sequence[int],
     for cls in classes:
         for j, e in enumerate(cls):
             smaller[e] = sum(1 << f for f in cls[:j])
-    items, lasts, first = [], [], {}
+    items, first = [], {}
     for s in sorted(indep, key=lambda s: (canon[s], s)):
         ext = lack = 0
         for e in range(m):
@@ -399,8 +399,7 @@ def _orbit_maximal_families(table: Sequence[int], indep: Sequence[int],
         lack &= ~s
         first.setdefault(canon[s], len(items))
         items.append((s, lack, ext, first[canon[s]]))
-        lasts.append((s, lack, ext))
-    exts = {s: ext for s, _, ext in lasts}
+    independent = set(indep)
 
     def extend(start: int, used: int, reach: int, rows: tuple) -> Iterator:
         if len(rows) < n - 1:
@@ -412,8 +411,8 @@ def _orbit_maximal_families(table: Sequence[int], indep: Sequence[int],
             return
         rest = full & ~used
         need = reach & rest
-        if need in exts:      # else the last row could not hold it
-            for c, lack, ext in lasts[start:]:
+        if need in independent:    # else the last row could not hold it
+            for c, lack, ext, _ in items[start:]:
                 if (not c & used and c & need == need and not ext & rest
                         and lack & used == lack):
                     yield rows + (c,)

@@ -189,16 +189,18 @@ class MatroidOracle:
             self._packing = _packing
             self._ceiling = rep.dim
         else:
-            self._ceiling = rep.vertices - 1
+            # the testers' union-find holds only the endpoints the edges
+            # touch, numbered once by first appearance, not every vertex
+            ids: dict[int, int] = {}
+            edges = tuple((ids.setdefault(u, len(ids)), ids.setdefault(w, len(ids)))
+                          for u, w in rep.edges)
+            self._touched = len(ids), edges
+            self._ceiling = len(ids) - 1
         self.rank_total = tester_for(self).rank(range(m), self._ceiling)
-
-    @property
-    def size(self) -> int:
-        return self.ground.size
 
     def __repr__(self):
         kind = type(self.rep).__name__
-        return f"MatroidOracle({self.name or kind}, m={self.size}, rank={self.rank_total})"
+        return f"MatroidOracle({self.name or kind}, m={self.ground.size}, rank={self.rank_total})"
 
     def _sorted(self, elems: Iterable[int]) -> list[int]:
         # the distinct elements in increasing order; the two ends decide
@@ -662,5 +664,5 @@ def tester_for(oracle: MatroidOracle):
     if isinstance(rep, LinearRep):
         return LinearTester((), oracle._packing)
     if isinstance(rep, GraphicRep):
-        return GraphicTester(rep.vertices, rep.edges)
+        return GraphicTester(*oracle._touched)
     return BasesTester(oracle._basis_masks)

@@ -202,6 +202,17 @@ def test_verify_c3_reports_k4_obstructions(tmp_path):
     assert len(result["reports"][0]["examples_of_unsat"]) == 16
 
 
+def test_verify_c3_sweeps_a_seeded_catalog(tmp_path):
+    # without --matroid: two linear and two graphic draws besides U_{3,9}
+    path = tmp_path / "catalog.json"
+    assert run(["verify-c3", "--seed", "0", "--linear", "2", "--graphic", "2",
+                "--json", str(path)]) == 0
+    report = load_report(path)
+    assert report["digest"] is None
+    assert len(report["result"]["reports"]) == 5
+    assert report["result"]["total_unsat"] == 0
+
+
 def test_verify_c3_rejects_wrong_size():
     # 25 elements: past the rank table's 12
     assert run(["verify-c3", "--matroid", "odd-wheel-5"]) == 2
@@ -342,6 +353,18 @@ def test_a_huge_ground_set_checks_at_once(tmp_path):
     assert time.perf_counter() - start < 5
 
 
+def test_a_graphic_file_with_a_trillion_vertices_checks_at_once(tmp_path):
+    # one edge: only its two endpoints may cost memory, not every vertex
+    big = tmp_path / "big.matroid"
+    big.write_text("MATROID v1\nNAME big\nGROUND 1\nTYPE GRAPHIC\n"
+                   "VERTICES 1000000000000\nEDGE 0 999999999999\n")
+    start = time.perf_counter()
+    assert run(["check-matroid", "--matroid", str(big),
+                "--json", str(tmp_path / "big.json")]) == 0
+    assert time.perf_counter() - start < 5
+    assert load_report(tmp_path / "big.json")["result"]["rank"] == 1
+
+
 # --- console entry point ----------------------------------------------------------------
 
 def test_module_invocation(tmp_path):
@@ -355,7 +378,6 @@ def test_module_invocation(tmp_path):
 
 @pytest.mark.parametrize("script", [
     ["run_counterexamples.py"],
-    ["run_c3_sweep.py", "--linear", "2", "--graphic", "2"],
     ["run_descent_trials.py", "--ns", "3,4", "--trials", "3"],
 ], ids=lambda argv: argv[0])
 def test_shipped_script_runs(script, tmp_path):
@@ -457,7 +479,8 @@ def _report(kind, result):
 
 SOLVE_RESULT = {"status": "UNSAT", "grid": None, "count": 0, "nodes": 3,
                 "millis": 0.1}
-STEP = {"block": [0, 1, 2], "mu_before": 6, "mu_after": 4, "nodes": 9,
+STEP = {"block": [0, 1, 2], "mu_before": 6, "mu_after": 4,
+        "subinstance": "GRID v1", "submatroid": "MATROID v1", "nodes": 9,
         "millis": 0.5}
 CHECK_RESULT = {"name": "m", "elements": 4, "rank": 2, "ok": True,
                 "violation": None}
@@ -489,6 +512,15 @@ def _sweep_result(examples):
     ("verify-c3", _sweep_result([[0, 1]])),
     ("verify-c3", _sweep_result([[[0], [1.5]]])),
     ("verify-c3", _sweep_result([[[e], []] for e in range(17)])),
+    ("rota", {"status": "GRID"}),
+    ("rota", {"status": "GRID", "grid": None, "steps": []}),
+    ("rota", {"status": "CERTIFICATE", "grid": None, "steps": []}),
+    ("rota", {"status": "GRID", "grid": [[0]], "steps": [dict(STEP, x=1)]}),
+    ("descent-step", {"mu": 6, "step": dict(STEP, extra=0)}),
+    ("descent-step", {"mu": 6, "step": {k: v for k, v in STEP.items()
+                                        if k != "submatroid"}}),
+    ("solve", dict(SOLVE_RESULT, count=None, extra=0)),
+    ("verify-c3", {"reports": [], "total_unsat": 0, "seconds": 1.0}),
 ])
 def test_schema_rejects_malformed_result(kind, result):
     with pytest.raises(jsonschema.ValidationError):
@@ -506,6 +538,9 @@ def test_schema_rejects_malformed_result(kind, result):
         "basis": [0, 1], "removed": 0, "against": [2, 3]})),
     ("count", dict(SOLVE_RESULT, status="UNKNOWN", count=None)),
     ("verify-c3", _sweep_result([[[e], []] for e in range(16)])),
+    ("rota", {"status": "GRID", "grid": [[0]], "steps": [STEP]}),
+    ("rota", {"status": "CERTIFICATE", "grid": None, "steps": [],
+              "certificate_files": ["c.matroid", "c.grid"]}),
 ])
 def test_schema_accepts_wellformed_result(kind, result):
     jsonschema.validate(_report(kind, result), SCHEMA)

@@ -118,6 +118,23 @@ def test_select_block_size_exceeding_parts_errors():
         select_block(dp, 4)
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_select_block_refuses_a_block_without_a_pair(k):
+    dp = initial_double_partition(random_rota_instance(4, 0))
+    with pytest.raises(ValueError):
+        select_block(dp, k)
+
+
+def test_select_block_holds_the_first_pair_at_every_size():
+    dp = initial_double_partition(random_rota_instance(4, 0))
+    pair = next({i, j} for i in range(4) for j in range(4)
+                if i != j and dp.beta[i] & dp.tau[j])
+    for k in range(2, 5):
+        block = select_block(dp, k)
+        assert len(block) == k and block == tuple(sorted(block))
+        assert pair <= set(block)
+
+
 def test_select_block_lex_among_equal_sizes():
     beta = (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}),
             frozenset({6, 7}))
@@ -286,7 +303,6 @@ def test_rota_n2_direct():
     inst = RotaInstance(m, (frozenset({0, 1}), frozenset({2, 3})))
     trace = rota_solve(inst)
     assert trace.steps == ()
-    assert trace.direct_report is not None
     grid_inst = GridInstance(m, 2, 2, inst.bases, REQUIRED)
     assert validate_grid(grid_inst, trace.grid)
 

@@ -581,7 +581,7 @@ def test_symmetry_breaking_preserves_answers():
              u39_inst(rows=((0, 4), (1,), ())),
              u39_inst(rows=((0, 1, 2), (3, 4, 5), (6, 7, 8)))]
     for inst in insts:
-        plain = solve(inst, break_columns=False, break_parallel=False)
+        plain = solve(inst, symmetry=False)
         broken = solve(inst)
         assert plain.status == broken.status
 
@@ -697,8 +697,7 @@ def test_nodes_counted():
     ("mcdiarmid", "decide", False, 278),
 ])
 def test_node_counts_pin_the_search_tree(name, mode, symmetry, nodes):
-    report = solve(builtin_instance(name).instance, mode,
-                   break_columns=symmetry, break_parallel=symmetry)
+    report = solve(builtin_instance(name).instance, mode, symmetry=symmetry)
     assert report.status == "UNSAT"
     assert report.nodes == nodes
 

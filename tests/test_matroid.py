@@ -490,7 +490,7 @@ def test_oracle_refuses_a_ground_size_its_representation_lacks(rep):
     for m in (1, 3):
         with pytest.raises(ValueError, match=f"ground size {m} differs"):
             MatroidOracle(rep, ground_size=m)
-    assert MatroidOracle(rep, ground_size=2).size == 2
+    assert MatroidOracle(rep, ground_size=2).ground.size == 2
 
 
 def test_bases_oracle_pads_with_trailing_loops_only():
