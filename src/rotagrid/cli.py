@@ -6,7 +6,11 @@ check-matroid.  Exit codes: 0 = solvable / verified / OK, 1 = unsolvable or
 counterexample found (``rota`` and ``descent-step`` export it as certificate
 files), 2 = usage or input error, including any ``ValueError`` the library
 raises, 3 = undecided within the node budget.  Every command accepts
-``--json PATH`` to write a run report conforming to ``report_schema.json``.
+``--json PATH`` to write a run report conforming to ``report_schema.json``,
+its ``kind`` the subcommand.  The parser alone states each command's
+sources, so a missing or conflicting one exits 2: ``rota`` and
+``descent-step`` take exactly one of ``--grid-instance`` and ``--matroid``,
+and ``verify-c3`` one ``--matroid`` or the 51-matroid catalog of ``--seed``.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ class CliError(Exception):
     """Input or usage problem; maps to exit code 2."""
 
 
-def _write_report(args, kind: str, digest: str | None, result: dict) -> None:
+def _write_report(args, digest: str | None, result: dict) -> None:
     if not args.json:
         return
     report = {
         "command": list(args._argv),
         "version": __version__,
-        "kind": kind,
+        "kind": args.cmd,
         "digest": digest,
         "result": result,
     }
@@ -49,8 +53,6 @@ def _write_report(args, kind: str, digest: str | None, result: dict) -> None:
 
 
 def _load_instance(args) -> GridInstance:
-    if not args.grid_instance:
-        raise CliError("missing --grid-instance PATH")
     path = Path(args.grid_instance)
     return parse_file(path, parse_grid_instance, base_dir=path.parent)
 
@@ -72,8 +74,6 @@ def _rota_instance_from_args(args) -> RotaInstance:
     if args.grid_instance:
         inst = _load_instance(args)
         return RotaInstance(inst.matroid, inst.rows)
-    if not args.matroid:
-        raise CliError("rota needs --grid-instance or --matroid")
     oracle, rows = _matroid_source(args.matroid)
     if rows is not None and sum(map(len, rows)) == oracle.ground.size:
         return RotaInstance(oracle, rows)
@@ -107,13 +107,12 @@ def _check_hypotheses(args, inst: GridInstance) -> None:
                        + "\n  ".join(check.failures))
 
 
-def _cmd_solve(args, mode: str) -> int:
+def _cmd_solve(args) -> int:
+    mode = "count" if args.cmd == "count" else "decide"
     inst = _load_instance(args)
     _check_hypotheses(args, inst)
     report = solve(inst, mode=mode, node_budget=args.node_budget)
-    digest = instance_digest(inst)
-    _write_report(args, "count" if mode == "count" else "solve", digest,
-                  report.to_dict())
+    _write_report(args, instance_digest(inst), report.to_dict())
     if report.status == "UNKNOWN":
         print(f"UNKNOWN: node budget of {report.nodes} nodes spent "
               f"({report.millis:.1f} ms)")
@@ -129,14 +128,14 @@ def _cmd_solve(args, mode: str) -> int:
     return OK if report.status == "SAT" else FOUND_COUNTEREXAMPLE
 
 
-def _report_certificate(args, kind: str, digest: str, result: dict,
+def _report_certificate(args, digest: str, result: dict,
                         cert: CounterexampleCertificate) -> int:
     """Export an unsolvable block subproblem, name its files, report it."""
     files = [str(p) for p in write_instance_files(cert.instance, args.out,
                                                   "certificate")]
     print("CERTIFICATE: a block subproblem is unsolvable; exported to "
           + ", ".join(files))
-    _write_report(args, kind, digest, {**result, "certificate_files": files})
+    _write_report(args, digest, {**result, "certificate_files": files})
     return FOUND_COUNTEREXAMPLE
 
 
@@ -144,12 +143,12 @@ def _cmd_rota(args) -> int:
     inst, digest = _load_rota_instance(args)
     trace = rota_solve(inst, k=args.k)
     if trace.grid is None:
-        return _report_certificate(args, "rota", digest, trace.to_dict(),
+        return _report_certificate(args, digest, trace.to_dict(),
                                    trace.certificate)
     print(f"GRID after {len(trace.steps)} descent steps")
     for row in trace.grid:
         print(" ".join(str(e) for e in row))
-    _write_report(args, "rota", digest, trace.to_dict())
+    _write_report(args, digest, trace.to_dict())
     return OK
 
 
@@ -158,18 +157,16 @@ def _cmd_descent_step(args) -> int:
     dp = initial_double_partition(inst)
     if mu(dp) == 0:
         print("mu = 0 already; nothing to descend")
-        _write_report(args, "descent-step", digest,
-                      {"mu": 0, "step": None})
+        _write_report(args, digest, {"mu": 0, "step": None})
         return OK
     outcome = descent_step(inst, dp, k=args.k)
     if isinstance(outcome, CounterexampleCertificate):
-        return _report_certificate(args, "descent-step", digest,
-                                   {"mu": mu(dp), "step": None}, outcome)
+        return _report_certificate(args, digest, {"mu": mu(dp), "step": None},
+                                   outcome)
     _, step = outcome
     print(f"block {list(step.block)}: mu {step.mu_before} -> {step.mu_after} "
           f"({step.report.nodes} nodes)")
-    _write_report(args, "descent-step", digest,
-                  {"mu": step.mu_before, "step": step.to_dict()})
+    _write_report(args, digest, {"mu": step.mu_before, "step": step.to_dict()})
     return OK
 
 
@@ -179,8 +176,7 @@ def _cmd_verify_c3(args) -> int:
         oracles = [oracle]
         digest = matroid_digest(oracle)
     else:
-        oracles = c3_catalog(seed=args.seed, linear=args.linear,
-                             graphic=args.graphic)
+        oracles = c3_catalog(args.seed or 0)
         digest = None
     reports = []
     total_unsat = 0
@@ -192,7 +188,7 @@ def _cmd_verify_c3(args) -> int:
               f"{rep.unsat} unsolvable")
         for fam in rep.unsat_examples:
             print(f"  UNSOLVABLE rows: {[sorted(r) for r in fam]}")
-    _write_report(args, "verify-c3", digest, {
+    _write_report(args, digest, {
         "reports": [r.to_dict() for r in reports],
         "total_unsat": total_unsat,
     })
@@ -213,7 +209,7 @@ def _cmd_instance(args) -> int:
     digest = instance_digest(named.instance)
     print(f"{named.name}: wrote {matroid_path} and {grid_path} "
           f"(expected {named.expected})")
-    _write_report(args, "instance", digest, {
+    _write_report(args, digest, {
         "name": named.name,
         "expected": named.expected,
         "note": named.note,
@@ -223,8 +219,6 @@ def _cmd_instance(args) -> int:
 
 
 def _cmd_check_matroid(args) -> int:
-    if not args.matroid:
-        raise CliError("check-matroid needs --matroid PATH")
     path = Path(args.matroid)
     oracle = parse_file(path, parse_matroid, check_exchange=False)
     digest = matroid_digest(oracle)
@@ -242,7 +236,7 @@ def _cmd_check_matroid(args) -> int:
             "basis": sorted(a), "removed": x, "against": sorted(b)}
         print(f"exchange axiom violated: no replacement for {x} in "
               f"{sorted(a)} from {sorted(b)}")
-    _write_report(args, "check-matroid", digest, result)
+    _write_report(args, digest, result)
     return OK if violation is None else FOUND_COUNTEREXAMPLE
 
 
@@ -252,47 +246,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact matroid grid-completion toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def command(name, run, help, grid_instance=False, matroid=False, k=False,
-                seed=False, out=False, skip=False, budget=False):
-        p = sub.add_parser(name, help=help)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", metavar="PATH")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-instance", metavar="PATH", required=True)
+    grid.add_argument("--skip-hypothesis-check", action="store_true")
+    grid.add_argument("--node-budget", type=int, metavar="N")
+    rota = argparse.ArgumentParser(add_help=False)
+    source = rota.add_mutually_exclusive_group(required=True)
+    source.add_argument("--grid-instance", metavar="PATH")
+    source.add_argument("--matroid", metavar="PATH")
+    rota.add_argument("--k", type=int, default=3)
+    rota.add_argument("--out", default=".", metavar="DIR")
+
+    def command(name, run, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[report, *parents])
         p.set_defaults(run=run)
-        if grid_instance:
-            p.add_argument("--grid-instance", metavar="PATH")
-        if matroid:
-            p.add_argument("--matroid", metavar="PATH")
-        if k:
-            p.add_argument("--k", type=int, default=3)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        if out:
-            p.add_argument("--out", default=".", metavar="DIR")
-        if skip:
-            p.add_argument("--skip-hypothesis-check", action="store_true")
-        if budget:
-            p.add_argument("--node-budget", type=int, metavar="N")
-        p.add_argument("--json", metavar="PATH")
         return p
 
-    command("solve", lambda args: _cmd_solve(args, "decide"),
-            "decide a grid instance", grid_instance=True, skip=True,
-            budget=True)
-    command("count", lambda args: _cmd_solve(args, "count"),
-            "count all grids of an instance", grid_instance=True, skip=True,
-            budget=True)
-    command("rota", _cmd_rota, "full-row instance via potential descent",
-            grid_instance=True, matroid=True, k=True, out=True)
+    command("solve", _cmd_solve, "decide a grid instance", grid)
+    command("count", _cmd_solve, "count all grids of an instance", grid)
+    command("rota", _cmd_rota, "full-row instance via potential descent", rota)
     command("descent-step", _cmd_descent_step, "run a single descent step",
-            grid_instance=True, matroid=True, k=True, out=True)
+            rota)
     p = command("verify-c3", _cmd_verify_c3,
-                "sweep all row families over <= 12 elements", matroid=True,
-                seed=True)
-    p.add_argument("--linear", type=int, default=25, metavar="N")
-    p.add_argument("--graphic", type=int, default=25, metavar="N")
-    p = command("instance", _cmd_instance, "materialize a built-in instance",
-                out=True)
+                "sweep all row families over <= 12 elements")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--matroid", metavar="PATH")
+    # no default: argparse takes a value that is its default as absent, so
+    # `--seed 0` would pass beside `--matroid`; the handler reads None as 0
+    source.add_argument("--seed", type=int, metavar="N", help="default 0")
+    p = command("instance", _cmd_instance, "materialize a built-in instance")
+    p.add_argument("--out", default=".", metavar="DIR")
     p.add_argument("name", help=", ".join(builtin_names()))
-    command("check-matroid", _cmd_check_matroid,
-            "parse and audit a matroid file", matroid=True)
+    p = command("check-matroid", _cmd_check_matroid,
+                "parse and audit a matroid file")
+    p.add_argument("--matroid", metavar="PATH", required=True)
     return parser
 
 

@@ -139,10 +139,10 @@ def select_block(dp: DoublePartition, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Subinstance:
-    """A block's grid subproblem plus the index maps back to the parent."""
+    """A block's grid subproblem; its matroid's ``parent_elements`` maps
+    sub indices back to the parent's."""
 
     instance: GridInstance
-    parent_elements: tuple[int, ...]   # sub index -> parent index
     block: tuple[int, ...]
     span: frozenset[int]               # S: union of the block's beta parts
     trace_set: frozenset[int]          # T: union of the block's tau parts
@@ -159,7 +159,7 @@ def build_subinstance(inst: RotaInstance, dp: DoublePartition,
     kept = trace & span
     rows = tuple(frozenset([to_sub[e] for e in b & kept]) for b in inst.bases)
     grid_inst = GridInstance(sub, inst.n, len(block), rows, REQUIRED)
-    return Subinstance(grid_inst, sub.parent_elements, block, span, trace)
+    return Subinstance(grid_inst, block, span, trace)
 
 
 def rebuild(inst: RotaInstance, dp: DoublePartition, sub: Subinstance,
@@ -174,7 +174,7 @@ def rebuild(inst: RotaInstance, dp: DoublePartition, sub: Subinstance,
     """
     if not validate_grid(sub.instance, subgrid):
         raise ValueError("subgrid does not solve the block subproblem")
-    to_parent = sub.parent_elements
+    to_parent = sub.instance.matroid.parent_elements
     rows = [[to_parent[e] for e in row] for row in subgrid]
     new_beta = list(dp.beta)
     for j, b in enumerate(sub.block):
@@ -259,9 +259,9 @@ def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
     sub = build_subinstance(inst, dp, block)
     report = solver(sub.instance)
     if report.status != "SAT":
+        to_parent = sub.instance.matroid.parent_elements
         beta_sub = tuple(
-            frozenset(i for i, e in enumerate(sub.parent_elements)
-                      if e in dp.beta[b])
+            frozenset(i for i, e in enumerate(to_parent) if e in dp.beta[b])
             for b in block)
         return CounterexampleCertificate(sub.instance, beta_sub, report)
     new_dp = rebuild(inst, dp, sub, report.grid)

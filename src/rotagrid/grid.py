@@ -86,11 +86,10 @@ class GridInstance:
 
 @dataclass(frozen=True)
 class InstanceCheck:
-    ok: bool
     failures: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failures
 
 
 @dataclass(frozen=True)
@@ -389,7 +388,7 @@ def validate_instance(inst: GridInstance, check_basis_partition: bool = True) ->
     if check_basis_partition and not failures:
         if not splits_into_bases(M, (1 << m) - 1, inst.k):
             failures.append(f"ground set is not a disjoint union of {inst.k} bases")
-    return InstanceCheck(not failures, tuple(failures))
+    return InstanceCheck(tuple(failures))
 
 
 def _search(inst: GridInstance, mode: str, symmetry: bool,

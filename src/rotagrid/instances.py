@@ -520,11 +520,10 @@ def verify_c3_for_matroid(oracle: MatroidOracle, processes: int = 1) -> SweepRep
     return SweepReport(oracle.name or "matroid", families, families, 0, ())
 
 
-def c3_catalog(seed: int = 0, linear: int = 25, graphic: int = 25):
-    """The sweep catalog: U_{3,9} plus seeded random linear and graphic matroids."""
-    out = [uniform_matroid(3, 9, name="u39")]
-    for i in range(linear):
-        out.append(random_linear_matroid(3, 9, seed * 1000 + i))
-    for i in range(graphic):
-        out.append(random_graphic_matroid(4, 9, seed * 1000 + 500 + i))
-    return out
+def c3_catalog(seed: int = 0):
+    """The 51-matroid sweep catalog: U_{3,9}, then 25 random linear and 25
+    random graphic matroids on nine elements, drawn from `seed`."""
+    return ([uniform_matroid(3, 9, name="u39")]
+            + [random_linear_matroid(3, 9, seed * 1000 + i) for i in range(25)]
+            + [random_graphic_matroid(4, 9, seed * 1000 + 500 + i)
+               for i in range(25)])

@@ -213,8 +213,6 @@ class MatroidOracle:
         return elems
 
     def rank(self, elems: Iterable[int]) -> int:
-        if self._table is not None:
-            return self._table[_mask(self._sorted(elems))]  # a table has m <= 12
         return tester_for(self).rank(self._sorted(elems), self._ceiling)
 
     def is_independent(self, elems: Iterable[int]) -> bool:

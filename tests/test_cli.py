@@ -1,5 +1,6 @@
 """CLI exit codes, report JSON, and the shipped schema."""
 
+import argparse
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import rotagrid.descent
 from rotagrid import (LinearRep, MatroidOracle, RotaInstance, SolveReport,
                       builtin_instance, parse_grid_instance, rota_solve,
                       serialize_matroid, uniform_matroid, validate_grid)
-from rotagrid.cli import run
+from rotagrid.cli import build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads(
@@ -156,7 +157,9 @@ def test_unsolvable_block_exports_a_certificate(cmd, tmp_path, capsys,
                 "--json", str(tmp_path / "r.json")]) == 1
     assert "CERTIFICATE: a block subproblem is unsolvable" \
         in capsys.readouterr().out
-    files = load_report(tmp_path / "r.json")["result"]["certificate_files"]
+    report = load_report(tmp_path / "r.json")
+    assert report["kind"] == cmd
+    files = report["result"]["certificate_files"]
     grid = next(Path(f) for f in files if f.endswith(".grid"))
     replay = parse_grid_instance(grid.read_text(), base_dir=grid.parent)
     assert (replay.n, replay.k) == (3, 3)
@@ -203,14 +206,14 @@ def test_verify_c3_reports_k4_obstructions(tmp_path):
 
 
 def test_verify_c3_sweeps_a_seeded_catalog(tmp_path):
-    # without --matroid: two linear and two graphic draws besides U_{3,9}
+    # without --matroid: the 51-matroid catalog of the seed, 0 by default
     path = tmp_path / "catalog.json"
-    assert run(["verify-c3", "--seed", "0", "--linear", "2", "--graphic", "2",
-                "--json", str(path)]) == 0
-    report = load_report(path)
-    assert report["digest"] is None
-    assert len(report["result"]["reports"]) == 5
-    assert report["result"]["total_unsat"] == 0
+    for seed in ([], ["--seed", "1"]):
+        assert run(["verify-c3", *seed, "--json", str(path)]) == 0
+        report = load_report(path)
+        assert report["digest"] is None
+        assert len(report["result"]["reports"]) == 51
+        assert report["result"]["total_unsat"] == 0
 
 
 def test_verify_c3_rejects_wrong_size():
@@ -416,6 +419,54 @@ def test_parallel_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["solve", "--grid-instance", str(grid), "--parallel", "2"])
     assert exc.value.code == 2
+
+
+def usage_error(argv, capsys):
+    """The message of the argparse usage error (exit 2) that `argv` makes."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,first,second", [
+    (["verify-c3", "--matroid", "u39", "--seed", "7"], "--seed", "--matroid"),
+    (["verify-c3", "--matroid", "u39", "--seed", "0"], "--seed", "--matroid"),
+    (["verify-c3", "--seed", "7", "--matroid", "u39"], "--matroid", "--seed"),
+    (["rota", "--grid-instance", "u39.grid", "--matroid", "k4-c2"],
+     "--matroid", "--grid-instance"),
+    (["descent-step", "--grid-instance", "u39.grid", "--matroid", "k4-c2"],
+     "--matroid", "--grid-instance"),
+])
+def test_conflicting_sources_are_usage_errors(argv, first, second, capsys):
+    # the run would otherwise answer for one source and drop the other
+    err = usage_error(argv, capsys)
+    assert f"argument {first}: not allowed with argument {second}" in err
+
+
+@pytest.mark.parametrize("cmd,flags", [
+    ("solve", "--grid-instance"),
+    ("count", "--grid-instance"),
+    ("rota", "--grid-instance --matroid"),
+    ("descent-step", "--grid-instance --matroid"),
+    ("check-matroid", "--matroid"),
+])
+def test_a_missing_source_is_a_usage_error(cmd, flags, capsys):
+    err = usage_error([cmd], capsys)
+    assert "required" in err and flags in err
+
+
+def test_every_subcommand_is_a_report_kind():
+    # a report's kind is the name of the subcommand that wrote it
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(SCHEMA["properties"]["kind"]["enum"])
+
+
+@pytest.mark.parametrize("flag", ["--linear", "--graphic"])
+def test_catalog_size_flags_are_gone(flag, capsys):
+    assert f"unrecognized arguments: {flag} 2" in usage_error(
+        ["verify-c3", flag, "2"], capsys)
 
 
 def test_node_budget_exits_undecided(tmp_path, capsys):

@@ -173,8 +173,9 @@ def test_subinstance_restriction_maps_back():
     inst = random_rota_instance(4, seed=3)
     dp = initial_double_partition(inst)
     sub = build_subinstance(inst, dp, select_block(dp, 3))
-    assert len(sub.parent_elements) == 12
-    assert sub.parent_elements == tuple(sorted(sub.span))
+    parent_elements = sub.instance.matroid.parent_elements
+    assert len(parent_elements) == 12
+    assert parent_elements == tuple(sorted(sub.span))
 
 
 # --- rebuild ------------------------------------------------------------------------
@@ -335,7 +336,8 @@ def digest_trace(digest, trace):
     for s in trace.steps:
         digest.update(repr((s.block, s.mu_before, s.mu_after, s.report.nodes,
                             s.report.grid,
-                            s.subinstance.parent_elements)).encode())
+                            s.subinstance.instance.matroid.parent_elements)
+                       ).encode())
     digest.update(repr(trace.grid).encode())
 
 
