@@ -1,6 +1,7 @@
 """Solver tests: named counterexamples, solver-vs-brute-force equivalence,
 determinism, and the exactness of every pruning rule."""
 
+import hashlib
 import random
 import time
 from itertools import permutations
@@ -309,6 +310,34 @@ def test_partition_search_has_no_depth_limit():
     parts = find_basis_partition(wheel, 33)
     assert time.perf_counter() - start < 1.0
     assert is_disjoint_union_of_bases(wheel, parts)
+
+
+def test_least_partitions_of_the_odd_wheels_are_pinned():
+    digest = hashlib.sha256()
+    for k in range(3, 34, 2):
+        inst = builtin_instance(f"odd-wheel-{k}").instance
+        parts = find_basis_partition(inst.matroid, inst.k)
+        digest.update(repr([sorted(p) for p in parts]).encode())
+    assert digest.hexdigest() == ("1e939554fd06f1ef621f8f597df80064"
+                                  "5fe8a7c23216f709832a1246ad5721e8")
+
+
+@pytest.mark.parametrize("k,searches", [(9, 57), (33, 993)])
+def test_pinning_counts_its_single_part_searches(monkeypatch, k, searches):
+    # a single-part search is an augmenting-path insertion whose first step
+    # may enter one given part: the question each pin asks of a part
+    counts = []
+    insert = rotagrid.grid._Parts.insert
+
+    def counted(self, s, first):
+        counts.append(len(first) == 1)
+        return insert(self, s, first)
+
+    monkeypatch.setattr(rotagrid.grid._Parts, "insert", counted)
+    inst = builtin_instance(f"odd-wheel-{k}").instance
+    assert is_disjoint_union_of_bases(
+        inst.matroid, find_basis_partition(inst.matroid, inst.k))
+    assert sum(counts) == searches
 
 
 # --- splits_into_bases ---------------------------------------------------------------
