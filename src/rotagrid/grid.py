@@ -8,7 +8,9 @@ each cell keeps a bitmask of its untried candidates, tried in increasing
 index.  One matroid-partition routine (`_Parts`) answers, in polynomial
 time, whether a set splits into disjoint bases (`splits_into_bases`, which
 also checks the k-disjoint-bases hypothesis) and the least such split of
-the ground set, which the generators need (`find_basis_partition`).
+the ground set, which the generators need (`find_basis_partition`): it pins
+the elements in order only until a first fit over the pins completes the
+split, which is then exactly the least split's tail.
 
 Pruning keeps counts exact: a partial column must stay independent (the
 incremental tester subsumes closure-based candidate filtering), and a row
@@ -120,7 +122,19 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
     independent, is that answer when it places every element; otherwise
     the leftovers go in along augmenting paths, which decides whether any
     partition exists, and the elements are pinned in order (`_Parts.pin`).
-    Nothing backtracks; `node_cap` is accepted for compatibility and ignored.
+
+    The pins hold a prefix of the answer, and pinning stops as soon as a
+    first fit over them places every later element (`_Parts.complete`):
+    each goes to the first opened part, in the order the parts opened, that
+    has room and stays independent, else to a new part.  Such a fit is the
+    answer's tail.  Every part before the one it picks is full or spans the
+    element, so no completion puts the element there, and the fit's own
+    completion shows that its pick can be completed.  No fit tried before a
+    pin whose first try is refused completes, since it would put that
+    element in the part refused; refused pins come in runs, so the fit is
+    tried at the first pin after a refused one that is not refused itself.
+    Nothing backtracks; `node_cap` is accepted for compatibility and
+    ignored.
     """
     m = oracle.ground.size
     if parts < 0 or oracle.rank_total * parts != m:
@@ -131,12 +145,20 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
     if state.settle() is not None:
         return None
     order: list[int] = []     # the parts with pins, in the order they opened
+    deviated = False          # a pin since the last tail fit was refused
     for e in range(m):
         c = state.part_of[e]
         earlier = order[:order.index(c)] if c in order else order
-        c = state.pin(e, earlier)
+        c, refused = state.pin(e, earlier)
         if c not in order:
             order.append(c)
+        if refused:
+            deviated = True
+        elif deviated:
+            deviated = False
+            done = state.complete(e + 1, order)
+            if done is not None:
+                return done
     return tuple(frozenset(state.pinned[j]) for j in order)
 
 
@@ -166,20 +188,32 @@ class _Parts:
         self.part_of = part_of = [-1] * oracle.ground.size
         self.full = full = [tester_for(oracle) for _ in range(parts)]
         self.pins = [tester_for(oracle) for _ in range(parts)]
-        self.left = left = []
-        rank = oracle.rank_total
-        j = -1
+        self.left = list(self.fit(elems, range(parts), free, full, cyclic))
+        for j, members in enumerate(free):
+            for e in members:
+                part_of[e] = j
+
+    def fit(self, elems, order: Sequence[int], held, testers, cyclic=False):
+        """First fit: each element joins the first part in `order` that has
+        room and whose tester takes it, from the one after the part last
+        used when `cyclic`, else from the start; yields each element no part
+        takes.  The parts are `held` and `testers`: the free members and
+        `full`, or the pins and `pins`."""
+        rank, tries = self.oracle.rank_total, list(order)
+        # after[p]: the order of the tries once part p has taken an element
+        after = {p: tries[at + 1:] + tries[:at + 1]
+                 for at, p in enumerate(tries)} if cyclic else None
         for e in elems:
-            for i in range(1, parts + 1):
-                p = (j + i) % parts if cyclic else i - 1
+            for p in tries:
                 # a full part takes nothing: skip it before a costly test
-                if len(free[p]) < rank and full[p].can_add(e):
-                    full[p].push(e)
-                    free[p].append(e)
-                    part_of[e] = j = p
+                if len(held[p]) < rank and testers[p].can_add(e):
+                    testers[p].push(e)
+                    held[p].append(e)
+                    if cyclic:
+                        tries = after[p]
                     break
             else:
-                left.append(e)
+                yield e
 
     def _rebuild(self, j: int) -> None:
         self.full[j] = tester = tester_for(self.oracle)
@@ -295,13 +329,16 @@ class _Parts:
             self._rebuild(j)
         return None
 
-    def pin(self, e: int, earlier: list[int]) -> int:
+    def pin(self, e: int, earlier: list[int]) -> tuple[int, bool]:
         """Pin e to the first of the `earlier` parts that an augmenting path
-        from e, entering it first, can move e into, else to its own part."""
+        from e, entering it first, can move e into, else to its own part.
+        Returns the part and whether the first part tried refused e, so
+        that e is not where a first fit over the pins would put it."""
         c = self.part_of[e]
         rank = self.oracle.rank_total
         tries = [q for q in earlier
                  if len(self.pinned[q]) < rank and self.pins[q].can_add(e)]
+        refused = False
         if tries:
             free, full = self.free[c], self.full[c]
             self.free[c] = [f for f in free if f != e]
@@ -310,11 +347,27 @@ class _Parts:
             q = next((q for q in tries if self.insert(e, (q,)) is None), c)
             if q == c:          # nothing moved: restore part c
                 self.free[c], self.full[c], self.part_of[e] = free, full, c
-            c = q
+            refused, c = q != tries[0], q
         self.free[c].remove(e)
         self.pinned[c].append(e)
         self.pins[c].push(e)
-        return c
+        return c, refused
+
+    def complete(self, start: int, order: list[int]):
+        """The pinned partition with the elements from `start` on added by a
+        first fit over the pins, trying the parts in `order` and then the
+        unopened ones, if it places every element; else None, with the pins
+        left as found."""
+        pinned, pins = self.pinned, self.pins
+        order = order + [j for j in range(len(pinned)) if j not in order]
+        had = [len(held) for held in pinned]
+        for _ in self.fit(range(start, len(self.part_of)), order, pinned, pins):
+            for held, tester, n in zip(pinned, pins, had):
+                for f in reversed(held[n:]):
+                    tester.pop(f)
+                del held[n:]
+            return None
+        return tuple(map(frozenset, (pinned[j] for j in order)))
 
 
 class _Lookahead:

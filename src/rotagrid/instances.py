@@ -215,6 +215,8 @@ def builtin_instance(name: str) -> NamedInstance:
 
 def _linear_draw(rank: int, m: int, seed: int):
     """`random_linear_matroid`'s draw together with its least partition."""
+    if rank < 1 or m < 0:
+        raise ValueError(f"need rank >= 1 and m >= 0, got rank {rank}, m {m}")
     if m % rank != 0:
         raise ValueError("element count must be a multiple of the rank")
     rng = random.Random(seed)
@@ -244,6 +246,9 @@ def random_linear_matroid(rank: int, m: int, seed: int) -> MatroidOracle:
 
 def random_graphic_matroid(vertices: int, m: int, seed: int) -> MatroidOracle:
     """Seeded random loopless multigraph whose edges split into spanning trees."""
+    if vertices < 2 or m < 0:
+        raise ValueError(f"need vertices >= 2 and m >= 0, got vertices "
+                         f"{vertices}, m {m}")
     rank = vertices - 1
     if m % rank != 0:
         raise ValueError("edge count must be a multiple of vertices-1")

@@ -322,10 +322,13 @@ def test_least_partitions_of_the_odd_wheels_are_pinned():
                                   "5fe8a7c23216f709832a1246ad5721e8")
 
 
-@pytest.mark.parametrize("k,searches", [(9, 57), (33, 993)])
-def test_pinning_counts_its_single_part_searches(monkeypatch, k, searches):
+@pytest.mark.parametrize("k,pinned_all,searches", [(9, 57, 8), (33, 993, 32)])
+def test_pinning_counts_its_single_part_searches(monkeypatch, k, pinned_all,
+                                                 searches):
     # a single-part search is an augmenting-path insertion whose first step
-    # may enter one given part: the question each pin asks of a part
+    # may enter one given part: the question each pin asks of a part.
+    # Pinning every element asked it `pinned_all` times; the tail fit over
+    # the pins ends the loop once the first pins have taken their parts
     counts = []
     insert = rotagrid.grid._Parts.insert
 
@@ -390,10 +393,11 @@ def test_splits_into_bases_matches_the_partition_search():
 
 
 def test_least_partition_matches_the_recursive_reference(monkeypatch):
-    # the draws must reach no split, a first fit that is already the
-    # answer, and answers for which pinning moves an element
-    paths = []
-    insert = rotagrid.grid._Parts.insert
+    # the inputs must reach no split, a first fit that is already the
+    # answer, answers for which pinning moves an element, and tail fits
+    # over the pins that complete the answer and that fall back to pinning
+    paths, tails = [], []
+    insert, complete = rotagrid.grid._Parts.insert, rotagrid.grid._Parts.complete
 
     def counted(self, s, first):
         reached = insert(self, s, first)
@@ -401,22 +405,34 @@ def test_least_partition_matches_the_recursive_reference(monkeypatch):
         paths.append((type(first) is tuple, reached is None))
         return reached
 
+    def fitted(self, start, order):
+        done = complete(self, start, order)
+        tails.append(done is not None)
+        return done
+
     monkeypatch.setattr(rotagrid.grid._Parts, "insert", counted)
+    monkeypatch.setattr(rotagrid.grid._Parts, "complete", fitted)
     seen = set()
+
+    def check(oracle, parts):
+        want = reference_partition(oracle, parts)
+        paths.clear()
+        tails.clear()
+        assert find_basis_partition(oracle, parts) == want
+        seen.add("none" if want is None else "moved" if (True, True) in paths
+                 else "first fit" if not paths else "augmented")
+        seen.update("tail" if done else "fallback" for done in tails)
 
     @given(split_draws())
     @settings(max_examples=400, deadline=None)
     def agree(case):
         oracle, chosen, parts = case
-        sub = oracle.restrict(chosen)
-        want = reference_partition(sub, parts)
-        paths.clear()
-        assert find_basis_partition(sub, parts) == want
-        seen.add("none" if want is None else "moved" if (True, True) in paths
-                 else "first fit" if not paths else "augmented")
+        check(oracle.restrict(chosen), parts)
 
     agree()
-    assert {"none", "first fit", "moved"} <= seen
+    for oracle, parts in random_multigraphs(500, seed=7):
+        check(oracle, parts)
+    assert {"none", "first fit", "moved", "tail", "fallback"} <= seen
 
 
 def test_splits_into_bases_follows_every_circuit_member():

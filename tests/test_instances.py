@@ -185,6 +185,23 @@ def test_random_rota_instance_valid():
     inst.check()
 
 
+@pytest.mark.parametrize("make,args", [
+    (random_linear_matroid, (2, -2, 0)),    # redrew forever: -1 parts
+    (random_graphic_matroid, (3, -2, 0)),
+    (random_linear_matroid, (0, 0, 0)),     # took m modulo a zero rank
+    (random_rota_instance, (0, 0)),
+    (random_graphic_matroid, (1, 0, 0)),
+    (random_graphic_matroid, (0, 3, 0)),    # drew from an empty range
+])
+def test_generators_reject_bad_sizes_before_drawing(monkeypatch, make, args):
+    def no_draw(*_):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(instances, "find_basis_partition", no_draw)
+    with pytest.raises(ValueError):
+        make(*args)
+
+
 def _digest(texts) -> str:
     h = hashlib.sha256()
     for text in texts:
