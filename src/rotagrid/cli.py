@@ -98,9 +98,7 @@ def _load_rota_instance(args) -> tuple[RotaInstance, str]:
                                               inst.bases))
 
 
-def _check_hypotheses(args, inst: GridInstance) -> None:
-    if args.skip_hypothesis_check:
-        return
+def _check_hypotheses(inst: GridInstance) -> None:
     check = validate_instance(inst)
     if not check:
         raise CliError("instance fails its hypotheses:\n  "
@@ -110,7 +108,7 @@ def _check_hypotheses(args, inst: GridInstance) -> None:
 def _cmd_solve(args) -> int:
     mode = "count" if args.cmd == "count" else "decide"
     inst = _load_instance(args)
-    _check_hypotheses(args, inst)
+    _check_hypotheses(inst)
     report = solve(inst, mode=mode, node_budget=args.node_budget)
     _write_report(args, instance_digest(inst), report.to_dict())
     if report.status == "UNKNOWN":
@@ -250,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--json", metavar="PATH")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid-instance", metavar="PATH", required=True)
-    grid.add_argument("--skip-hypothesis-check", action="store_true")
     grid.add_argument("--node-budget", type=int, metavar="N")
     rota = argparse.ArgumentParser(add_help=False)
     source = rota.add_mutually_exclusive_group(required=True)

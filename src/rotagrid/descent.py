@@ -31,7 +31,7 @@ first-class certificate, never an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .formats import serialize_grid_instance, serialize_matroid
 from .grid import (REQUIRED, Grid, GridInstance, SolveReport, solve,
@@ -60,7 +60,8 @@ class RotaInstance:
         if self.matroid.ground.size != n * n:
             raise ValueError(f"ground set must have {n * n} elements")
         if not is_disjoint_union_of_bases(self.matroid, self.bases):
-            raise ValueError("bases must be disjoint and cover the ground set")
+            raise ValueError("rows must be disjoint bases that cover the "
+                             "ground set")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,6 @@ class CounterexampleCertificate:
     conjecture and must be exported for independent replay."""
 
     instance: GridInstance                 # on the restricted oracle
-    bases: tuple[frozenset[int], ...]      # its k disjoint bases (sub indices)
     report: SolveReport
 
 
@@ -239,15 +239,7 @@ class DescentTrace:
         }
 
 
-Solver = Callable[[GridInstance], SolveReport]
-
-
-def _default_solver(instance: GridInstance) -> SolveReport:
-    return solve(instance)
-
-
-def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
-                 solver: Solver = _default_solver):
+def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3):
     """One potential-reducing step.
 
     Returns (new_dp, DescentStep) on success, or a CounterexampleCertificate
@@ -257,13 +249,9 @@ def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
         raise ValueError("descent requires n >= 3 and block size k >= 3")
     block = select_block(dp, k)   # raises when mu is zero
     sub = build_subinstance(inst, dp, block)
-    report = solver(sub.instance)
+    report = solve(sub.instance)
     if report.status != "SAT":
-        to_parent = sub.instance.matroid.parent_elements
-        beta_sub = tuple(
-            frozenset(i for i, e in enumerate(to_parent) if e in dp.beta[b])
-            for b in block)
-        return CounterexampleCertificate(sub.instance, beta_sub, report)
+        return CounterexampleCertificate(sub.instance, report)
     new_dp = rebuild(inst, dp, sub, report.grid)
     mu_before, mu_after = mu(dp), mu(new_dp)
     if mu_after >= mu_before:
@@ -272,8 +260,7 @@ def descent_step(inst: RotaInstance, dp: DoublePartition, k: int = 3,
     return new_dp, DescentStep(block, mu_before, mu_after, sub, report)
 
 
-def rota_solve(inst: RotaInstance, k: int = 3,
-               solver: Solver = _default_solver) -> DescentTrace:
+def rota_solve(inst: RotaInstance, k: int = 3) -> DescentTrace:
     """Drive an instance to a full grid (rows = B_i, columns bases).
 
     For n <= 2 the grid is found by a direct search.  For n >= 3 the descent
@@ -286,11 +273,10 @@ def rota_solve(inst: RotaInstance, k: int = 3,
     n = inst.n
     if n <= 2:
         direct = GridInstance(inst.matroid, n, n, inst.bases, REQUIRED)
-        report = solver(direct)
+        report = solve(direct)
         if report.status == "SAT":
             return DescentTrace((), report.grid, None)
-        cert = CounterexampleCertificate(direct, inst.bases, report)
-        return DescentTrace((), None, cert)
+        return DescentTrace((), None, CounterexampleCertificate(direct, report))
     if k > n:
         raise ValueError(f"block size {k} exceeds n = {n}")
 
@@ -298,7 +284,7 @@ def rota_solve(inst: RotaInstance, k: int = 3,
     potential = mu(dp)
     steps: list[DescentStep] = []
     while potential > 0:
-        outcome = descent_step(inst, dp, k, solver)
+        outcome = descent_step(inst, dp, k)
         if isinstance(outcome, CounterexampleCertificate):
             return DescentTrace(tuple(steps), None, outcome)
         dp, step = outcome

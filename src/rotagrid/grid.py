@@ -19,11 +19,14 @@ On entering column c >= 1 with k - c >= 3 columns left (and n >= 2), the
 unused elements must split into k - c bases, or the column gets no
 candidates.
 The lookahead ignores rows, so it is sound in count mode too.  The gate is
-fixed by the grid's shape: with fewer columns left the test costs more than
-the search it replaces, so solves with k <= 3 never run it, and at rank 1
-the loop check already decides it.  The solve's `_Lookahead` keeps each
-failed query's certificate and tries them before every later query, so a
-column refused for a reason already found costs a few bit counts.  It also
+fixed by the grid's shape, so solves with k <= 3 never run it, and at rank
+1 the loop check already decides it.  Whether a test at k - c = 2 would pay
+depends on the matroid, not on the shape: it costs more than it saves on
+linear blocks (the 100 benchmark descents: 0.075 -> 0.097 s for 8,199 ->
+8,112 nodes) and saves on the wheels (odd-wheel-15: 152,996 -> 48,293
+nodes).  The solve's `_Lookahead` keeps each failed query's certificate
+and tries them before every later query, so a column refused for a reason
+already found costs a few bit counts.  It also
 keeps one partition per part count: the first query with that count
 partitions afresh, and each later one repairs the partition the last left
 (`_Parts.repair`), since sibling columns change only a few unused elements.

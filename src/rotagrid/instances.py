@@ -139,21 +139,17 @@ def wheel_matroid(k: int, spoke_copies: int, name: str = "") -> MatroidOracle:
                          name=name or f"wheel{k}x{spoke_copies}")
 
 
-def odd_wheel_instance(k: int, rim_shift: int | None = None) -> NamedInstance:
+def odd_wheel_instance(k: int) -> NamedInstance:
     """Odd wheel with k-1 copies of each spoke; k x k grid, dependent rows.
 
-    Row i holds every copy of spoke i plus one rim edge; by default the rim
-    edge antipodal to spoke i (shift (k-1)/2, which reproduces the
-    K4-with-doubled-spokes instance at k = 3).  Any other shift in 1..k-1
-    still assigns each rim edge to exactly one row and can be probed via
-    `rim_shift` -- the default pairing is an interpretation validated by the
+    Row i holds every copy of spoke i plus the rim edge antipodal to it,
+    (k-1)/2 steps around, which reproduces the K4-with-doubled-spokes
+    instance at k = 3.  The pairing is an interpretation validated by the
     solver, not a theorem.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("odd wheels need odd k >= 3")
-    shift = (k - 1) // 2 if rim_shift is None else rim_shift
-    if not 0 < shift < k:
-        raise ValueError(f"rim shift must be in 1..{k - 1}")
+    shift = (k - 1) // 2
     m = wheel_matroid(k, k - 1, name=f"odd-wheel-{k}")
     rows = []
     for i in range(k):
@@ -206,7 +202,10 @@ def builtin_instance(name: str) -> NamedInstance:
             k = int(name[len("odd-wheel-"):])
         except ValueError:
             raise KeyError(f"unknown instance {name!r}") from None
-        return odd_wheel_instance(k)
+        # int() also reads "05", "+5", "0_5" and non-ASCII digits; only the
+        # canonical spelling names the instance returned
+        if name == f"odd-wheel-{k}":
+            return odd_wheel_instance(k)
     raise KeyError(f"unknown instance {name!r}")
 
 

@@ -88,12 +88,8 @@ def test_criterion_4_odd_wheels():
     outcome = solve(wheel5)
     elapsed = time.perf_counter() - start
     if outcome.status == "SAT":
-        # the antipodal-pairing interpretation would be falsified: surface
-        # the grid and probe every other rim pairing before failing
+        # the antipodal-pairing interpretation would be falsified
         print("odd-wheel-5 SAT under antipodal pairing; grid:", outcome.grid)
-        for shift in range(1, 5):
-            alt = odd_wheel_instance(5, rim_shift=shift).instance
-            print(f"  shift {shift}: {solve(alt).status}")
         raise AssertionError("antipodal pairing is not a counterexample")
     assert elapsed < 600.0
     report(4, f"odd-wheel-3 ~ mcdiarmid (bijection on all 2^9 subsets), both "

@@ -65,19 +65,27 @@ def test_sat_instance_exits_zero(tmp_path):
     assert validate_grid(inst, report["result"]["grid"])
 
 
-def test_mcdiarmid_required_hypothesis_fails(tmp_path):
+def test_mcdiarmid_required_hypothesis_fails(tmp_path, capsys):
     grid = materialize("mcdiarmid", tmp_path)
     text = grid.read_text().replace("NOT_REQUIRED", "REQUIRED")
     bad = tmp_path / "mcd-req.grid"
     bad.write_text(text)
     assert run(["solve", "--grid-instance", str(bad)]) == 2
-    # skipping the hypothesis check lets the search run to UNSAT
-    assert run(["solve", "--grid-instance", str(bad),
-                "--skip-hypothesis-check"]) == 1
+    assert run(["count", "--grid-instance", str(bad)]) == 2
+    # exit 1 claims a counterexample, so the check cannot be skipped
+    assert "unrecognized arguments: --skip-hypothesis-check" in usage_error(
+        ["solve", "--grid-instance", str(bad), "--skip-hypothesis-check"],
+        capsys)
 
 
-def test_unknown_instance_name():
-    assert run(["instance", "perpetuum-mobile"]) == 2
+def test_unknown_instance_name(tmp_path, capsys):
+    # int() reads each odd-wheel suffix here as 5, but none is the
+    # canonical name, so none may write odd-wheel-5's files
+    for name in ("perpetuum-mobile", "odd-wheel-05", "odd-wheel-+5",
+                 "odd-wheel-0_5", "odd-wheel-\u0665"):
+        assert run(["instance", name, "--out", str(tmp_path)]) == 2
+        assert f"unknown instance {name!r}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_odd_wheel_instances_materialize(tmp_path):
@@ -110,8 +118,13 @@ def test_rota_from_grid_instance(tmp_path):
     assert run(["rota", "--grid-instance", str(grid)]) == 0
 
 
-def test_rota_rejects_non_rota_builtin():
+def test_rota_rejects_non_rota_builtin(capsys):
     assert run(["rota", "--matroid", "k4-c2"]) == 2
+    # odd-wheel-3's rows are disjoint and cover the ground set, but each
+    # holds two parallel copies of a spoke
+    assert run(["rota", "--matroid", "odd-wheel-3"]) == 2
+    assert ("rows must be disjoint bases that cover the ground set"
+            in capsys.readouterr().err)
 
 
 def test_rota_rejects_a_matroid_without_a_split_at_once(tmp_path, capsys):
@@ -309,10 +322,8 @@ def test_non_matroid_basis_family_is_input_error(tmp_path, capsys):
     (tmp_path / "bad.grid").write_text(
         "GRIDINSTANCE v1\nMATROID bad.matroid\nROWS 2\nCOLS 2\n"
         "INDEPENDENCE REQUIRED\nROW 0:\nROW 1:\n")
-    for extra in ([], ["--skip-hypothesis-check"]):
-        assert run(["solve", "--grid-instance", str(tmp_path / "bad.grid"),
-                    *extra]) == 2
-        assert "line 6: not a matroid" in capsys.readouterr().err
+    assert run(["solve", "--grid-instance", str(tmp_path / "bad.grid")]) == 2
+    assert "line 6: not a matroid" in capsys.readouterr().err
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):
@@ -473,24 +484,22 @@ def test_node_budget_exits_undecided(tmp_path, capsys):
     # unbudgeted, this count ran for minutes with no output
     grid = materialize("odd-wheel-5", tmp_path)
     code = run(["count", "--grid-instance", str(grid), "--node-budget",
-                "10000", "--skip-hypothesis-check",
-                "--json", str(tmp_path / "r.json")])
+                "10000", "--json", str(tmp_path / "r.json")])
     assert code == 3
     assert "UNKNOWN: node budget of 10000 nodes" in capsys.readouterr().out
     result = load_report(tmp_path / "r.json")["result"]
     assert (result["status"], result["count"], result["grid"],
             result["nodes"]) == ("UNKNOWN", None, None, 10000)
     assert result["millis"] < 1000
-    assert run(["solve", "--grid-instance", str(grid), "--node-budget", "-1",
-                "--skip-hypothesis-check"]) == 2
+    assert run(["solve", "--grid-instance", str(grid), "--node-budget",
+                "-1"]) == 2
 
 
 def test_deep_instance_under_budget_is_undecided(tmp_path):
     # 1,089 cells; neither search has a depth limit
     grid = materialize("odd-wheel-33", tmp_path)
-    assert run(["solve", "--grid-instance", str(grid),
-                "--skip-hypothesis-check", "--node-budget", "10000",
-                "--json", str(tmp_path / "r.json")]) == 3
+    assert run(["solve", "--grid-instance", str(grid), "--node-budget",
+                "10000", "--json", str(tmp_path / "r.json")]) == 3
     result = load_report(tmp_path / "r.json")["result"]
     assert (result["status"], result["grid"], result["nodes"]) \
         == ("UNKNOWN", None, 10000)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotagrid.descent
 from rotagrid import (REQUIRED, DoublePartition, GridInstance, RotaInstance,
                       SolveReport, build_subinstance, check_double_partition,
                       descent_step, find_basis_partition,
                       grid_from_double_partition, initial_double_partition,
                       mu, random_graphic_matroid, random_rota_instance,
                       rebuild, rota_solve, select_block, uniform_matroid,
-                      validate_grid)
+                      validate_grid, validate_instance)
 from rotagrid.descent import CounterexampleCertificate
 
 
@@ -257,32 +258,35 @@ def test_step_count_bounded_by_initial_mu():
     assert len(trace.steps) <= mu(initial_double_partition(inst))
 
 
-def test_unsat_subsolve_becomes_certificate():
+def test_unsat_subsolve_becomes_certificate(monkeypatch):
     inst = u39_rota()
     dp = initial_double_partition(inst)
     stub = lambda _inst: SolveReport("UNSAT", None, None, 0, 0.0)
-    cert = descent_step(inst, dp, 3, solver=stub)
+    monkeypatch.setattr(rotagrid.descent, "solve", stub)
+    cert = descent_step(inst, dp, 3)
     assert isinstance(cert, CounterexampleCertificate)
     assert cert.instance.rows == inst.bases  # full block: rows are the B_i
-    assert len(cert.bases) == 3
+    assert validate_instance(cert.instance)
     assert cert.instance.independence == REQUIRED
     assert cert.report.status == "UNSAT"
 
 
-def test_certificate_surfaces_from_rota_solve():
+def test_certificate_surfaces_from_rota_solve(monkeypatch):
     inst = random_rota_instance(4, seed=1)
     stub = lambda _inst: SolveReport("UNSAT", None, None, 0, 0.0)
-    trace = rota_solve(inst, solver=stub)
+    monkeypatch.setattr(rotagrid.descent, "solve", stub)
+    trace = rota_solve(inst)
     assert trace.grid is None
     assert trace.certificate is not None
 
 
-def test_certificate_exports_replayable_files(tmp_path):
+def test_certificate_exports_replayable_files(tmp_path, monkeypatch):
     from rotagrid import parse_grid_instance, write_instance_files
 
     inst = random_rota_instance(4, seed=1)
     stub = lambda _inst: SolveReport("UNSAT", None, None, 0, 0.0)
-    cert = rota_solve(inst, solver=stub).certificate
+    monkeypatch.setattr(rotagrid.descent, "solve", stub)
+    cert = rota_solve(inst).certificate
     _, grid_path = write_instance_files(cert.instance, tmp_path, "cert")
     replay = parse_grid_instance(grid_path.read_text(), base_dir=tmp_path)
     assert replay.rows == cert.instance.rows

@@ -132,17 +132,16 @@ def test_odd_wheel_5_shape():
     assert validate_instance(inst)
 
 
-def test_odd_wheel_alternate_shift():
-    inst = odd_wheel_instance(5, rim_shift=1).instance
-    rims = {min(r) for r in inst.rows}
-    assert rims == set(range(5))      # each rim edge assigned exactly once
-
-
 def test_builtin_dispatch():
     assert builtin_instance("odd-wheel-3").name == "odd-wheel-3"
     assert builtin_instance("u39").expected == "SWEEP"
     with pytest.raises(KeyError):
         builtin_instance("odd-wheel-x")
+    # int() reads each of these as 5; none is the canonical name
+    for name in ("odd-wheel-05", "odd-wheel-+5", "odd-wheel-0_5",
+                 "odd-wheel-\u0665"):
+        with pytest.raises(KeyError):
+            builtin_instance(name)
     with pytest.raises(KeyError):
         builtin_instance("nope")
 
