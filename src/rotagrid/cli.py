@@ -201,7 +201,7 @@ def _cmd_instance(args) -> int:
     try:
         named = builtin_instance(args.name)
     except KeyError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(exc.args[0]) from None
     matroid_path, grid_path = write_instance_files(named.instance, args.out,
                                                    named.name)
     digest = instance_digest(named.instance)

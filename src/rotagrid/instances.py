@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import add
 from typing import Iterator, Sequence
@@ -219,14 +218,10 @@ def _linear_draw(rank: int, m: int, seed: int):
     if m % rank != 0:
         raise ValueError("element count must be a multiple of the rank")
     rng = random.Random(seed)
-    # one shared Fraction per entry value; the integer columns themselves
-    # are what the oracle would scale the Fraction columns back to
-    exact = {v: Fraction(v) for v in range(-2, 3)}
     while True:
         ints = tuple(tuple([rng.randint(-2, 2)
                             for _ in range(rank)]) for _ in range(m))
-        cols = tuple(tuple([exact[v] for v in col]) for col in ints)
-        oracle = MatroidOracle(LinearRep(rank, cols), _columns=ints,
+        oracle = MatroidOracle(LinearRep(rank, ints),
                                name=f"linear-r{rank}-m{m}-s{seed}")
         parts = find_basis_partition(oracle, m // rank)
         if parts is not None:
@@ -262,7 +257,7 @@ def random_graphic_matroid(vertices: int, m: int, seed: int) -> MatroidOracle:
             edges.append((min(u, w), max(u, w)))
         oracle = MatroidOracle(GraphicRep(vertices, tuple(edges)),
                                name=f"graphic-v{vertices}-m{m}-s{seed}")
-        if find_basis_partition(oracle, m // rank) is not None:
+        if splits_into_bases(oracle, (1 << m) - 1, m // rank):
             return oracle
 
 

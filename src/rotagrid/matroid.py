@@ -16,8 +16,9 @@ arithmetic is exact -- the linear tester eliminates over integers
 (Bareiss), never floating point.  It packs each integer column into one int
 of signed fields wide enough for every minor, so an elimination step is a
 few operations on whole ints; an oracle packs its columns once and hands
-them to its restrictions, and a greedy rank is one elimination loop inside
-the tester.
+them to its restrictions.  A greedy rank, like every other linear query,
+reduces through the tester's `can_add` and `push`, the one copy of that
+arithmetic.
 
 A restriction M|S has M's rank on every subset of S, so whatever the rank
 of small sets decides is M's too: an element of S is a loop of M|S iff it
@@ -49,6 +50,8 @@ def _as_fraction(x) -> Fraction:
 def _integer_column(col: Sequence) -> tuple[int, ...]:
     # the column times the lcm of its denominators: same span, integer
     # entries; only an int or a Fraction is an exact entry
+    if all([type(x) is int for x in col]):
+        return col
     for x in col:
         if not isinstance(x, (int, Fraction)):
             raise _inexact(x)
@@ -75,10 +78,11 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class LinearRep:
-    """m column vectors of length dim over the rationals."""
+    """m column vectors of length dim over the rationals, each entry an
+    `int` or a `Fraction`."""
 
     dim: int
-    columns: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -161,8 +165,7 @@ class MatroidOracle:
     """
 
     def __init__(self, rep: Representation, names: Sequence[str] | None = None,
-                 name: str = "", ground_size: int | None = None, _columns=None,
-                 _packing=None):
+                 name: str = "", ground_size: int | None = None, _packing=None):
         self.rep = rep
         m = rep.size if ground_size is None else ground_size
         if isinstance(rep, BasesRep):
@@ -184,7 +187,7 @@ class MatroidOracle:
             if _packing is None:
                 # the integer columns are kept for `_parallel_key`; a
                 # restriction inherits its class index and gets the packing
-                self._columns = _columns or tuple(_integer_column(c) for c in rep.columns)
+                self._columns = tuple([_integer_column(c) for c in rep.columns])
                 _packing = _pack(self._columns, rep.dim)
             self._packing = _packing
             self._ceiling = rep.dim
@@ -558,25 +561,6 @@ class LinearTester(_Tester):
         self.kept = (-1, 0)
         if self.stack.pop()[2] != e:
             raise ValueError("pop order must mirror push order")
-
-    def rank(self, elems: Iterable[int], ceiling: int) -> int:
-        # can_add and push in one loop on a local stack of (s, w, d): the
-        # same elimination with no method call per element
-        columns, width, bias = self.columns, self.width, self.bias
-        fmask, half = self.fmask, self.half
-        rows: list[tuple[int, int, int]] = []
-        for e in elems:
-            if len(rows) == ceiling:
-                break
-            v = columns[e]
-            prev = 1
-            for s, w, d in rows:
-                v = (d * v - (((v + bias) >> s & fmask) - half) * w) // prev
-                prev = d
-            if v:
-                s = ((v & -v).bit_length() - 1) // width * width
-                rows.append((s, v, ((v + bias) >> s & fmask) - half))
-        return len(rows)
 
 
 def _pack(columns: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], int, int]:

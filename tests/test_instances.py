@@ -25,7 +25,6 @@ from rotagrid.grid import SolveReport
 from rotagrid.instances import (_clone_canon, _clone_classes,
                                 _count_families, _orbit_maximal_families,
                                 _row_sets, _sweep_exhaustive)
-from rotagrid.matroid import _integer_column
 
 J_ROW_VECTORS = {
     0: {(-2, 3, 0, 1), (0, 0, 1, 1)},
@@ -196,7 +195,8 @@ def test_generators_reject_bad_sizes_before_drawing(monkeypatch, make, args):
     def no_draw(*_):
         raise AssertionError("a draw was made")
 
-    monkeypatch.setattr(instances, "find_basis_partition", no_draw)
+    # every draw builds an oracle before it asks for a split
+    monkeypatch.setattr(instances, "MatroidOracle", no_draw)
     with pytest.raises(ValueError):
         make(*args)
 
@@ -264,17 +264,31 @@ def test_large_graphic_draws_split_quickly():
         assert is_disjoint_union_of_bases(oracle, find_basis_partition(oracle, 8))
 
 
+def test_graphic_draws_keep_no_partition(monkeypatch):
+    """A graphic draw is kept on matroid partition's yes/no answer; the
+    least partition, which it would throw away, is never searched for."""
+    def no_search(*_):
+        raise AssertionError("a least partition was searched for")
+
+    monkeypatch.setattr(instances, "find_basis_partition", no_search)
+    # first 16 hex digits of the sha256 of serialize_matroid
+    pinned = {(4, 9, 500): "7488f8c35ed3863a", (9, 64, 0): "9cd010e9dbcee29c"}
+    for args, digest in pinned.items():
+        text = serialize_matroid(random_graphic_matroid(*args))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 def test_linear_draws_hand_the_oracle_their_integer_columns():
-    """A linear draw passes its integer entries as the oracle's columns; they
-    must be exactly what scaling its Fraction columns would give."""
+    """A linear draw's integers are its representation's columns, and the
+    oracle keeps them as its integer columns without scaling a copy."""
     oracles = [random_rota_instance(n, s).matroid
                for n in (3, 4, 5, 6) for s in range(25)]
     oracles += [o for o in c3_catalog(0) if isinstance(o.rep, LinearRep)]
     assert len(oracles) == 125
     for oracle in oracles:
-        assert oracle._columns == tuple(_integer_column(c)
-                                        for c in oracle.rep.columns)
-        assert all(type(x) is int for col in oracle._columns for x in col)
+        assert all(type(x) is int for col in oracle.rep.columns for x in col)
+        assert all(a is b for a, b in zip(oracle._columns, oracle.rep.columns,
+                                          strict=True))
 
 
 def test_rota_instance_searches_once_and_only_after_a_split(monkeypatch):

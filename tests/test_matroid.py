@@ -612,15 +612,19 @@ def linear_columns(draw, max_dim=4, max_size=6, entries=st.integers(-3, 3),
 @given(linear_columns())
 @settings(max_examples=150, deadline=None)
 def test_linear_rank_matches_nonzero_minors(cols):
-    # a zero coordinate appended to every column keeps each rank below dim
-    reps = [LinearRep.from_columns(v) for v in (cols, [c + (0,) for c in cols])]
+    # a zero coordinate appended to every column keeps each rank below dim;
+    # all-int columns also go to the oracle as they are, unscaled
+    forms = (cols, [c + (0,) for c in cols])
+    reps = [LinearRep.from_columns(v) for v in forms]
+    if all(type(x) is int for c in cols for x in c):
+        reps += [LinearRep(len(v[0]), tuple(v)) for v in forms]
     greedy = [MatroidOracle(rep) for rep in reps]
     tables = [MatroidOracle(rep).build_rank_table() for rep in reps]
     for mask in range(1 << len(cols)):
         subset = [e for e in range(len(cols)) if mask >> e & 1]
         expected = minor_rank([cols[e] for e in subset]) if subset else 0
-        assert [g.rank(subset) for g in greedy] == [expected] * 2
-        assert [t[mask] for t in tables] == [expected] * 2
+        assert [g.rank(subset) for g in greedy] == [expected] * len(reps)
+        assert [t[mask] for t in tables] == [expected] * len(reps)
 
 
 @given(st.one_of(linear_columns(max_size=10).map(LinearRep.from_columns),
