@@ -248,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--json", metavar="PATH")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--grid-instance", metavar="PATH", required=True)
-    grid.add_argument("--node-budget", type=int, metavar="N")
+    grid.add_argument("--node-budget", type=int, metavar="N",
+                      help="give up after N nodes with UNKNOWN (exit 3); "
+                           "count mode breaks no symmetry and needs one on "
+                           "the wheels with more than five spokes")
     rota = argparse.ArgumentParser(add_help=False)
     source = rota.add_mutually_exclusive_group(required=True)
     source.add_argument("--grid-instance", metavar="PATH")
@@ -256,13 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
     rota.add_argument("--k", type=int, default=3)
     rota.add_argument("--out", default=".", metavar="DIR")
 
-    def command(name, run, help, *parents):
-        p = sub.add_parser(name, help=help, parents=[report, *parents])
+    def command(name, run, help, *parents, **kw):
+        p = sub.add_parser(name, help=help, parents=[report, *parents], **kw)
         p.set_defaults(run=run)
         return p
 
     command("solve", _cmd_solve, "decide a grid instance", grid)
-    command("count", _cmd_solve, "count all grids of an instance", grid)
+    command("count", _cmd_solve, "count all grids of an instance", grid,
+            description="Count the labeled grids of an instance.  Count mode "
+            "enumerates them with no symmetry breaking (every column order "
+            "and every swap of parallel elements is a grid of its own), so "
+            "odd-wheel-5 takes about two million nodes and the wheels with "
+            "more than five spokes do not finish; give those a "
+            "--node-budget.")
     command("rota", _cmd_rota, "full-row instance via potential descent", rota)
     command("descent-step", _cmd_descent_step, "run a single descent step",
             rota)

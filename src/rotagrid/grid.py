@@ -17,18 +17,35 @@ incremental tester subsumes closure-based candidate filtering), and a row
 must always retain enough empty cells for its unplaced prescribed elements.
 On entering column c >= 1 with k - c >= 3 columns left (and n >= 2), the
 unused elements must split into k - c bases, or the column gets no
-candidates.
-The lookahead ignores rows, so it is sound in count mode too.  The gate is
-fixed by the grid's shape, so solves with k <= 3 never run it, and at rank
-1 the loop check already decides it.  Whether a test at k - c = 2 would pay
-depends on the matroid, not on the shape: it costs more than it saves on
-linear blocks (the 100 benchmark descents: 0.075 -> 0.097 s for 8,199 ->
-8,112 nodes) and saves on the wheels (odd-wheel-15: 152,996 -> 48,293
-nodes).  The solve's `_Lookahead` keeps each failed query's certificate
-and tries them before every later query, so a column refused for a reason
-already found costs a few bit counts.  It also
-keeps one partition per part count: the first query with that count
-partitions afresh, and each later one repairs the partition the last left
+candidates.  The lookahead ignores rows, so it is sound in count mode too,
+and at rank 1 the loop check already decides it.
+
+An effort gate opens once a solve has placed `_EFFORT` nodes, a constant,
+and switches on two more prunes.  The first cell of column k - 2 also runs
+the lookahead, with two parts, and every column boundary looks its unused
+mask up in a residual cache.  What a search below a boundary finds depends
+only on that mask, which fixes the rows' slack and which parallel members
+are ready, and, with symmetry breaking, on the row-0 bound (the row-0 entry
+of the column before).  Decide stores the least bound that failed, -1
+without symmetry breaking, and a boundary whose bound is at least the
+stored one gets no candidates; a larger bound only removes completions.
+Count stores the completions below a boundary once its subtree is searched,
+never on a budget stop, and adds them on a hit.  When the gate opens, a
+two-column boundary already on the stack is tested at once and its subtree
+dropped if it does not split: without that the n = 10 graphic descents
+(`random_graphic_matroid(11, 100, s)`, s = 0, 1) took 5,272,611 and
+8,038,541 nodes instead of 934,766 and 408,487.  A solve that stays under the gate pays nothing, and the
+two-column test would not pay there: on linear blocks it costs more than it
+saves (the 100 benchmark descents, whose largest solve takes 58 nodes:
+0.075 -> 0.097 s for 8,199 -> 8,112 nodes).  It pays on the wheels, which
+pass the gate: odd-wheel-9, 11, 13 and 15 take 1,380, 4,736, 15,410 and
+48,293 nodes, against 2,415, 9,792, 38,811 and 152,996 with the gate shut.
+
+The solve's `_Lookahead`, built at its first query, keeps each failed
+query's certificate and tries them before every later query, so a column
+refused for a reason already found costs a few bit counts.  It also keeps
+one partition per part count: the first query with that count partitions
+afresh, and each later one repairs the partition the last left
 (`_Parts.repair`), since sibling columns change only a few unused elements.
 A repaired partition answers and certifies as a fresh one does, so the
 answers, and so the nodes, are unchanged.
@@ -55,6 +72,9 @@ REQUIRED = "REQUIRED"
 NOT_REQUIRED = "NOT_REQUIRED"
 
 Grid = tuple[tuple[int, ...], ...]
+
+# nodes a solve places before its effort gate opens (module docstring)
+_EFFORT = 1_000
 
 
 @dataclass(frozen=True)
@@ -142,7 +162,7 @@ def find_basis_partition(oracle: MatroidOracle, parts: int,
     m = oracle.ground.size
     if parts < 0 or oracle.rank_total * parts != m:
         return None
-    state = _Parts(oracle, range(m), parts, cyclic=False)
+    state = _Parts(oracle, range(m), parts, cyclic=False, classes=None)
     if not state.left:
         return tuple(map(frozenset, state.free))
     if state.settle() is not None:
@@ -170,7 +190,8 @@ def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
     bases, by matroid partition (Edmonds 1965; Cunningham 1986): a first fit,
     then `_Parts.settle`."""
     return (parts >= 0 and mask.bit_count() == oracle.rank_total * parts
-            and _Parts(oracle, _bits(mask), parts, cyclic=True).settle() is None)
+            and _Parts(oracle, _bits(mask), parts, cyclic=True,
+                       classes=None).settle() is None)
 
 
 class _Parts:
@@ -182,10 +203,14 @@ class _Parts:
     takes it, from the one after the last used when `cyclic` (parallel
     elements spread at once), else from part 0; `left` lists the rest, which
     `settle` inserts.  `repair` moves a pin-free partition to another set of
-    elements, so a run of related sets is partitioned by one state."""
+    elements, so a run of related sets is partitioned by one state.
+    `classes[e]` names e's parallel class, for `insert`; None, the
+    identity, puts each element in a class of its own."""
 
-    def __init__(self, oracle: MatroidOracle, elems, parts: int, cyclic: bool):
+    def __init__(self, oracle: MatroidOracle, elems, parts: int, cyclic: bool,
+                 classes: Sequence[int] | None):
         self.oracle = oracle
+        self.classes = classes
         self.free = free = [[] for _ in range(parts)]
         self.pinned = [[] for _ in range(parts)]
         self.part_of = part_of = [-1] * oracle.ground.size
@@ -273,9 +298,17 @@ class _Parts:
         if one exists, else the elements reached.  An edge x -> y, y free in
         part j, means part j - y + x is independent; a path ends at an element
         another part takes as it is, and a shortest one keeps every part
-        independent."""
+        independent.
+
+        An element is queued and sink-tested but not scanned when a member
+        of its parallel class was already scanned against every part: that
+        scan left the class spanned, in each part, by the pins and the
+        queued members (the earlier member among them, in its own part),
+        and the queue only grows, so a second scan would reach nothing."""
         free, part_of, full = self.free, self.part_of, self.full
         everywhere = range(len(free))
+        classes, scanned = self.classes, set()
+        whole = len(first) == len(free)     # s is scanned against every part
         rank, pinned = self.oracle.rank_total, self.pinned
         # no part gains room while the path is sought, so the sinks are
         # among the parts with room now, still tried in increasing order
@@ -291,6 +324,12 @@ class _Parts:
         for z in queue:
             if sink is not None:
                 break
+            if classes is not None:
+                c = classes[z]
+                if c in scanned:
+                    continue
+                if z != s or whole:
+                    scanned.add(c)
             for j in (first if z == s else everywhere):
                 if j == part_of[z]:
                     continue
@@ -387,8 +426,9 @@ class _Lookahead:
     certifies, so the answers, and the nodes, are those of fresh splits.
     """
 
-    def __init__(self, oracle: MatroidOracle):
+    def __init__(self, oracle: MatroidOracle, classes: Sequence[int]):
         self.oracle = oracle
+        self.classes = classes  # `_Parts` skips rescans of parallel copies
         self.certs = []     # (X, rho) of each failed query
         self.states = {}    # part count -> (its _Parts, the mask it holds)
 
@@ -398,7 +438,8 @@ class _Lookahead:
                 return False
         held = self.states.get(parts)
         if held is None:
-            state = _Parts(self.oracle, _bits(mask), parts, cyclic=True)
+            state = _Parts(self.oracle, _bits(mask), parts, cyclic=True,
+                           classes=self.classes)
         else:
             state, had = held
             state.repair(had & ~mask, mask & ~had)
@@ -476,7 +517,8 @@ def _search(inst: GridInstance, mode: str, symmetry: bool,
     # increasing index order (module docstring)
     succ = [0] * m
     last = {}               # (class, row) -> its latest member so far
-    for e, c in enumerate(M.class_ids()):
+    classes = M.class_ids()
+    for e, c in enumerate(classes):
         if c < 0:           # a loop can never sit in a basis column
             return 0, None, 0
         if breaking:
@@ -499,18 +541,19 @@ def _search(inst: GridInstance, mode: str, symmetry: bool,
     can_add_at = [f for tester in testers for f in [tester.can_add] * n]
     push_at = [f for tester in testers for f in [tester.push] * n]
     pop_at = [f for tester in testers for f in [tester.pop] * n]
-    # the first cell of each column after the first: above_at breaks column
-    # symmetry there, parts_at gives the partition lookahead's part count
-    above_at = [False] * total
-    parts_at = [0] * total
-    for t in range(n, total, n):
-        above_at[t] = breaking
-        if n > 1 and k - t // n >= 3:   # (module docstring)
-            parts_at[t] = k - t // n
-    splits = _Lookahead(M).query if any(parts_at) else None
+    # boundary[t]: the columns left from cell t on, at the first cell of
+    # each column and at t = 0, where the backtracking ends; 0 elsewhere
+    boundary = [0] * total
+    for t in range(0, total, n):
+        boundary[t] = k - t // n
+    # the least columns left for the partition lookahead (module docstring)
+    reach = 3 if n > 1 else k + 1
+    look = None             # the solve's _Lookahead, built at its first query
+    cache = None            # unused mask -> residual verdict, once gated
+    entered = None          # entered[t]: count on entering boundary t
     cells = [-1] * total
     rest = [0] * total       # rest[t]: untried candidates of cell t
-    limit = -1 if node_budget is None else node_budget
+    limit = _EFFORT if node_budget is None else min(node_budget, _EFFORT)
     count = nodes = t = 0
     first: Grid | None = None
     cand = (wide[0] if slack[0] else own[0]) & ready
@@ -522,7 +565,24 @@ def _search(inst: GridInstance, mode: str, symmetry: bool,
             if not can_add_at[t](e):
                 continue
             if nodes == limit:
-                return None, None, nodes
+                if nodes == node_budget:
+                    return None, None, nodes
+                # the effort gate opens (module docstring)
+                limit = -1 if node_budget is None else node_budget
+                cache, entered = {}, [None] * total
+                if n > 1:
+                    reach = 2
+                    at = total - 2 * n      # the two-column boundary
+                    if n <= at <= t:    # on the stack: test it now
+                        held = unused
+                        for f in cells[at:t]:
+                            held |= 1 << f
+                        if look is None:
+                            look = _Lookahead(M, classes)
+                        if not look.query(held, 2):
+                            rest[at:t] = [0] * (t - at)
+                            cand = 0
+                            continue
             nodes += 1
             push_at[t](e)
             cells[t] = e
@@ -535,19 +595,42 @@ def _search(inst: GridInstance, mode: str, symmetry: bool,
             if t < total:
                 i = row_at[t]
                 cand = (wide[i] if slack[i] else own[i]) & unused & ready
-                if above_at[t]:
-                    cand &= -(2 << cells[t - n])
-                if (parts_at[t] and cand
-                        and not splits(unused, parts_at[t])):
-                    cand = 0
+                left = boundary[t]
+                if left:
+                    if breaking:
+                        cand &= -(2 << cells[t - n])
+                    if left >= reach and cand:
+                        if look is None:
+                            look = _Lookahead(M, classes)
+                        if not look.query(unused, left):
+                            cand = 0
+                    if cache is not None:
+                        if decide:
+                            bound = cells[t - n] if breaking else -1
+                            if cache.get(unused, total) <= bound:
+                                cand = 0
+                        else:
+                            entered[t] = count
+                            if unused in cache:
+                                count += cache[unused]
+                                cand = 0
                 continue
             count += 1
             if first is None:
                 first = tuple(tuple(cells[i::n]) for i in range(n))
             if decide:
                 break
-        elif not t:
-            break
+        elif boundary[t]:
+            if not t:
+                break
+            # every completion below boundary t is found: cache its verdict
+            if cache is not None:
+                if decide:
+                    bound = cells[t - n] if breaking else -1
+                    if cache.get(unused, total) > bound:
+                        cache[unused] = bound
+                elif entered[t] is not None:
+                    cache[unused] = count - entered[t]
         t -= 1
         e = cells[t]
         low = 1 << e

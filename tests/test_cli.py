@@ -480,8 +480,19 @@ def test_catalog_size_flags_are_gone(flag, capsys):
         ["verify-c3", flag, "2"], capsys)
 
 
+def test_count_help_names_its_cost_and_the_budget(capsys):
+    # count mode breaks no symmetry, so the larger wheels do not finish;
+    # the help says so and points to the budget
+    with pytest.raises(SystemExit):
+        run(["count", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "no symmetry breaking" in text
+    assert "more than five spokes do not finish" in text
+    assert "--node-budget N give up after N nodes" in text
+
+
 def test_node_budget_exits_undecided(tmp_path, capsys):
-    # unbudgeted, this count ran for minutes with no output
+    # unbudgeted, this count places 2,065,120 nodes (CI runs it)
     grid = materialize("odd-wheel-5", tmp_path)
     code = run(["count", "--grid-instance", str(grid), "--node-budget",
                 "10000", "--json", str(tmp_path / "r.json")])

@@ -531,7 +531,7 @@ def test_certificates_refuse_only_what_does_not_split(audited):
     @settings(max_examples=300, deadline=None)
     def sound(case):
         oracle, queries = case
-        look = rotagrid.grid._Lookahead(oracle)
+        look = rotagrid.grid._Lookahead(oracle, oracle.class_ids())
         for mask, parts in queries:
             assert look.query(mask, parts) == splits_into_bases(oracle, mask, parts)
 
@@ -584,7 +584,7 @@ def test_repaired_partitions_answer_as_fresh_splits(monkeypatch):
     @settings(max_examples=300, deadline=None)
     def exact(case):
         oracle, queries = case
-        look = rotagrid.grid._Lookahead(oracle)
+        look = rotagrid.grid._Lookahead(oracle, oracle.class_ids())
         for mask, parts in queries:
             answer = look.query(mask, parts)
             assert answer == splits_into_bases(oracle, mask, parts)
@@ -727,13 +727,15 @@ def test_nodes_counted():
     ("oxley-j", "decide", True, 27),
     ("mcdiarmid", "decide", True, 29),
     # without the partition lookahead: 596, 14,181 and 413,814 nodes, and
-    # odd-wheel-11 undecided after 3,000,000
+    # odd-wheel-11 undecided after 3,000,000.  Past the effort gate the
+    # larger wheels also test two columns and cache residuals; before it
+    # they took 2,415, 9,792, 38,811 and 152,996 nodes
     ("odd-wheel-5", "decide", True, 117),
     ("odd-wheel-7", "decide", True, 564),
-    ("odd-wheel-9", "decide", True, 2_415),
-    ("odd-wheel-11", "decide", True, 9_792),
-    ("odd-wheel-13", "decide", True, 38_811),
-    ("odd-wheel-15", "decide", True, 152_996),
+    ("odd-wheel-9", "decide", True, 1_380),
+    ("odd-wheel-11", "decide", True, 4_736),
+    ("odd-wheel-13", "decide", True, 15_410),
+    ("odd-wheel-15", "decide", True, 48_293),
     ("k4-c2", "count", True, 18),
     ("oxley-j", "count", True, 43),
     ("mcdiarmid", "count", True, 278),
@@ -776,3 +778,172 @@ def test_node_budget_never_reports_a_partial_count():
     assert report.nodes == 100
     with pytest.raises(ValueError):
         solve(inst, node_budget=-1)
+
+
+@pytest.mark.parametrize("budget,status,nodes", [
+    (1_380, "UNSAT", 1_380),
+    (1_379, "UNKNOWN", 1_379),
+    (1_000, "UNKNOWN", 1_000),
+])
+def test_node_budget_across_the_effort_gate(budget, status, nodes):
+    # odd-wheel-9 passes the gate at 1,000 nodes: the budget still stops
+    # the search at the node it names, on either side of the gate
+    report = solve(builtin_instance("odd-wheel-9").instance,
+                   node_budget=budget)
+    assert (report.status, report.nodes) == (status, nodes)
+
+
+# --- the effort gate ----------------------------------------------------------------------
+
+EFFORT = rotagrid.grid._EFFORT
+GATE_SHAPES = [(n, k) for n in range(1, 7) for k in range(2, 13) if n * k <= 12]
+
+
+@st.composite
+def gate_draws(draw):
+    """A linear, graphic or uniform instance on n * k <= 12 elements (a
+    uniform one on at most 9), with disjoint prescribed rows."""
+    kind = draw(st.sampled_from(["linear", "graphic", "uniform"]))
+    n, k = draw(st.sampled_from([(n, k) for n, k in GATE_SHAPES
+                                 if kind != "uniform" or n * k <= 9]))
+    m = n * k
+    if kind == "uniform":
+        oracle = uniform_matroid(n, m)
+    elif kind == "linear":
+        # entries in -1..1: parallel columns, dependent sets and loops
+        oracle = MatroidOracle(LinearRep.from_columns(
+            [tuple(draw(st.integers(-1, 1)) for _ in range(n))
+             for _ in range(m)]))
+    else:
+        edges = []
+        for _ in range(m):
+            u = draw(st.integers(0, n))
+            w = draw(st.integers(0, n - 1))
+            edges.append((u, w + (w >= u)))
+        oracle = MatroidOracle(GraphicRep(n + 1, tuple(edges)))
+    order = draw(st.permutations(range(m)))
+    rows, at = [], 0
+    for _ in range(n):
+        size = draw(st.integers(0, k))
+        rows.append(frozenset(order[at:at + size]))
+        at += size
+    return GridInstance(oracle, n, k, tuple(rows), NOT_REQUIRED)
+
+
+def test_the_effort_gate_keeps_every_answer(monkeypatch):
+    # with the gate open from the first node and at its default, decide,
+    # decide without symmetry breaking and count agree with each other and
+    # with brute force; pruning is sound and the order fixed, so both gates
+    # return the same grid and count, the open gate in no more nodes
+    seen = set()
+
+    def reports(inst, effort):
+        monkeypatch.setattr(rotagrid.grid, "_EFFORT", effort)
+        return [solve(inst), solve(inst, symmetry=False),
+                solve(inst, mode="count")]
+
+    def check(inst):
+        early, late = reports(inst, 0), reports(inst, EFFORT)
+        for a, b in zip(early, late):
+            assert (a.status, a.grid, a.count) == (b.status, b.grid, b.count)
+            assert a.nodes <= b.nodes
+        decide, plain, count = late
+        assert decide.status == plain.status == count.status
+        assert (decide.status == "SAT") == (count.count > 0)
+        for report in late:
+            assert report.grid is None or validate_grid(inst, report.grid)
+        if inst.matroid.ground.size <= 9:
+            assert count.count == brute_force_count(inst)
+        seen.add(decide.status)
+        seen.update(["gated"] * (count.nodes > EFFORT))
+
+    @given(gate_draws())
+    @settings(max_examples=80, deadline=None)
+    def agree(inst):
+        check(inst)
+
+    agree()
+    assert seen == {"SAT", "UNSAT", "gated"}
+    for name in ("k4-c2", "oxley-j"):
+        check(builtin_instance(name).instance)
+    # odd-wheel-5's count and undirected decide take 2,065,120 and 2,064,942
+    # nodes (about 10 s each); CI counts it, the decide runs here
+    inst = builtin_instance("odd-wheel-5").instance
+    for effort in (0, EFFORT):
+        monkeypatch.setattr(rotagrid.grid, "_EFFORT", effort)
+        assert solve(inst).status == "UNSAT"
+
+
+def test_solves_under_the_effort_gate_keep_their_nodes(monkeypatch):
+    # a solve that places fewer than EFFORT nodes runs as with no gate at
+    # all; u39 counts the same 216 grids in 1,056 nodes where the gate,
+    # opened at 1,000, saves 9 of 1,065
+    u39 = [u39_inst(rows) for rows in (((), (), ()), ((0, 4, 8), (1, 5), (2,)),
+                                       ((0, 1, 2), (3, 4, 5), (6, 7, 8)))]
+    mcd = mcdiarmid_instance().instance
+    cases = [(inst, "decide", True) for inst in u39] + [
+        (mcd, "decide", True), (mcd, "count", True), (mcd, "decide", False)]
+    want = [9, 9, 9, 29, 278, 278]
+    got = [solve(inst, mode, symmetry=sym).nodes for inst, mode, sym in cases]
+    assert got == want
+    monkeypatch.setattr(rotagrid.grid, "_EFFORT", 10**9)
+    assert [solve(inst, mode, symmetry=sym).nodes
+            for inst, mode, sym in cases] == want
+    assert solve(u39[2], "count").nodes == 1_065
+    monkeypatch.undo()
+    report = solve(u39[2], "count")
+    assert (report.count, report.nodes) == (216, 1_056)
+
+
+def reference_reach(oracle, held, free, s, first):
+    """What an augmenting-path search from s reaches, by rank tests alone:
+    y, free in part j, is reached from a reached x in no part j (x = s
+    enters only the parts in `first`) when part j - y + x is independent.
+    `held[j]` is part j, its pins and free members; `free[j]` the latter."""
+    reached, frontier = {s}, [s]
+    while frontier:
+        x = frontier.pop()
+        for j in (first if x == s else range(len(held))):
+            if x in held[j]:
+                continue
+            for y in free[j] - reached:
+                if oracle.rank(held[j] - {y} | {x}) == len(held[j]):
+                    reached.add(y)
+                    frontier.append(y)
+    return reached
+
+
+def test_a_failed_insertion_reaches_its_exchange_closure(monkeypatch):
+    # the scan that skips a parallel copy of an element already scanned
+    # against every part must still reach every element the exchange graph
+    # does; the draws must fail insertions whose reach holds parallel copies
+    insert = rotagrid.grid._Parts.insert
+    tally = {"failed": 0, "copies": 0}
+
+    def checked(state, s, first):
+        held = [set(p) | set(f) for p, f in zip(state.pinned, state.free)]
+        free = [set(f) for f in state.free]
+        reached = insert(state, s, first)
+        if reached is not None:
+            assert set(reached) == reference_reach(state.oracle, held, free,
+                                                   s, first)
+            ids = [state.classes[z] for z in reached]
+            tally["failed"] += 1
+            tally["copies"] += len(set(ids)) < len(ids)
+        return reached
+
+    monkeypatch.setattr(rotagrid.grid._Parts, "insert", checked)
+    monkeypatch.setattr(rotagrid.grid, "_EFFORT", 0)
+    for name in ("odd-wheel-5", "odd-wheel-7"):
+        assert solve(builtin_instance(name).instance).status == "UNSAT"
+
+    @given(query_draws())
+    @settings(max_examples=150, deadline=None)
+    def closed(case):
+        oracle, queries = case
+        look = rotagrid.grid._Lookahead(oracle, oracle.class_ids())
+        for mask, parts in queries:
+            look.query(mask, parts)
+
+    closed()
+    assert tally["failed"] and tally["copies"]
