@@ -8,8 +8,7 @@ Each named instance is validated against its hypotheses, decided, and
 import argparse
 import time
 
-from rotagrid import (builtin_instance, count_solutions, solve,
-                      validate_instance)
+from rotagrid import builtin_instance, solve, validate_instance
 
 NAMES = ["k4-c2", "oxley-j", "mcdiarmid", "odd-wheel-3", "odd-wheel-5"]
 
@@ -28,7 +27,7 @@ def main():
         check = validate_instance(inst)
         start = time.perf_counter()
         report = solve(inst)
-        count = (count_solutions(inst)
+        count = (solve(inst, mode="count").count
                  if inst.matroid.ground.size <= 9 else None)
         elapsed = time.perf_counter() - start
         ok = report.status == named.expected and (count in (None, 0))

@@ -267,8 +267,10 @@ def rota_solve(inst: RotaInstance, k: int = 3) -> DescentTrace:
     iterates from the canonical initial double partition until mu reaches
     zero; each step costs one n x k subsolve and the step count is bounded
     by the initial potential.  Any unsolvable subproblem stops the run and
-    is returned as a certificate.
+    is returned as a certificate.  A block size k < 3 is refused at any n.
     """
+    if k < 3:
+        raise ValueError(f"block size k must be at least 3, got {k}")
     inst.check()
     n = inst.n
     if n <= 2:

@@ -4,7 +4,8 @@ Both formats are UTF-8, whitespace-tokenized, with ``#`` starting a comment.
 Serialization is canonical: sorted element indices inside every set, LF line
 endings, single-space token separation, and normalized rationals, so equal
 objects serialize byte-identically on every platform and content digests
-are stable.
+are stable.  Numbers are ASCII decimals, ``-?[0-9]+`` and for a rational
+optionally ``/[0-9]+``; any other spelling is a FormatError naming its line.
 
 Matroid file::
 
@@ -114,17 +115,21 @@ def _shown(tok: str) -> str:
 
 
 def _parse_int(no: int, tok: str, what: str) -> int:
-    try:
-        return int(tok, 10)
-    except ValueError:
-        raise FormatError(no, f"bad {what} {_shown(tok)}") from None
+    # -?[0-9]+ only: int() alone would also read "1_2", "+0" and digits of
+    # other scripts
+    if tok.isascii() and tok.removeprefix("-").isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's limit on digits converted
+            pass
+    raise FormatError(no, f"bad {what} {_shown(tok)}")
 
 
-_RATIONAL = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_rational(no: int, tok: str) -> Fraction:
-    m = _RATIONAL.match(tok)
+    m = _RATIONAL.fullmatch(tok)
     if not m:
         raise FormatError(no, f"malformed rational {_shown(tok)}")
     try:
@@ -217,7 +222,7 @@ def parse_matroid(text: str, check_exchange: bool = True) -> MatroidOracle:
             raise FormatError(bases[a], f"not a matroid: no element of "
                                         f"{sorted(b)} can replace {x} in "
                                         f"basis {sorted(a)}")
-    return MatroidOracle(BasesRep(r, frozenset(bases)), name=name, ground_size=m)
+    return MatroidOracle(BasesRep(r, bases), name=name, ground_size=m)
 
 
 def serialize_matroid(oracle: MatroidOracle) -> str:

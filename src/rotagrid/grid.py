@@ -666,11 +666,6 @@ def solve(inst: GridInstance, mode: str = "decide", *,
                        nodes=nodes, millis=millis)
 
 
-def count_solutions(inst: GridInstance) -> int:
-    """Number of distinct valid grids (labeled; column order distinguishes)."""
-    return solve(inst, mode="count").count
-
-
 def validate_grid(inst: GridInstance, grid: Sequence[Sequence[int]]) -> bool:
     """True iff `grid` uses every element once, covers each I_i in its row,
     and has all-basis columns."""
@@ -694,7 +689,7 @@ def brute_force_count(inst: GridInstance) -> int:
     """Independent solution counter: filter all (nk)! cell assignments.
 
     No pruning and no shared search code; intended as an oracle for
-    :func:`count_solutions` on tiny instances.
+    `solve(inst, mode="count")` on tiny instances.
     """
     n, k = inst.n, inst.k
     m = inst.matroid.ground.size

@@ -22,6 +22,7 @@ from itertools import combinations
 from operator import add
 from typing import Iterator, Sequence
 
+from .descent import RotaInstance
 from .grid import (NOT_REQUIRED, REQUIRED, GridInstance, find_basis_partition,
                    solve, splits_into_bases)
 from .matroid import BasesRep, GraphicRep, LinearRep, MatroidOracle
@@ -62,21 +63,12 @@ class SweepReport:
 # named instances
 
 
-def complete_graph_matroid(v: int, name: str = "") -> MatroidOracle:
-    edges = []
-    names = []
-    for u in range(v):
-        for w in range(u + 1, v):
-            edges.append((u, w))
-            names.append(f"{u + 1}{w + 1}")
-    return MatroidOracle(GraphicRep(v, tuple(edges)), names=names,
-                         name=name or f"k{v}")
-
-
 def k4_c2_instance() -> NamedInstance:
     """M(K4) with the three pairs of non-incident edges as rows (3 x 2)."""
-    m = complete_graph_matroid(4, name="k4-c2")
     # element order: 12, 13, 14, 23, 24, 34
+    edges = tuple(combinations(range(4), 2))
+    names = [f"{u + 1}{w + 1}" for u, w in edges]
+    m = MatroidOracle(GraphicRep(4, edges), names=names, name="k4-c2")
     rows = (frozenset({0, 5}), frozenset({1, 4}), frozenset({2, 3}))
     inst = GridInstance(m, 3, 2, rows, REQUIRED)
     return NamedInstance(
@@ -96,7 +88,7 @@ _J_VECTORS = (
 def oxley_j_instance() -> NamedInstance:
     """The matroid J as eight vectors in Q^4, rows pairing them off (4 x 2)."""
     names = ["(" + ",".join(str(x) for x in v) + ")" for v in _J_VECTORS]
-    m = MatroidOracle(LinearRep.from_columns(_J_VECTORS), names=names,
+    m = MatroidOracle(LinearRep(4, _J_VECTORS), names=names,
                       name="oxley-j")
     rows = tuple(frozenset({2 * i, 2 * i + 1}) for i in range(4))
     inst = GridInstance(m, 4, 2, rows, REQUIRED)
@@ -122,39 +114,27 @@ def mcdiarmid_instance() -> NamedInstance:
         "rim edge; rows are dependent, and no grid exists")
 
 
-def wheel_matroid(k: int, spoke_copies: int, name: str = "") -> MatroidOracle:
-    """Wheel on hub + k rim vertices; each spoke repeated `spoke_copies` times.
-
-    Element order: rim edges r_0..r_{k-1} (r_i joins rim vertices i, i+1 mod
-    k), then the copies of spoke 0, spoke 1, ...  The hub is vertex k.
-    """
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    names = [f"r{i}" for i in range(k)]
-    for i in range(k):
-        for t in range(spoke_copies):
-            edges.append((k, i))
-            names.append(f"s{i}.{t}")
-    return MatroidOracle(GraphicRep(k + 1, tuple(edges)), names=names,
-                         name=name or f"wheel{k}x{spoke_copies}")
-
-
 def odd_wheel_instance(k: int) -> NamedInstance:
     """Odd wheel with k-1 copies of each spoke; k x k grid, dependent rows.
 
-    Row i holds every copy of spoke i plus the rim edge antipodal to it,
-    (k-1)/2 steps around, which reproduces the K4-with-doubled-spokes
-    instance at k = 3.  The pairing is an interpretation validated by the
-    solver, not a theorem.
+    Elements: the rim edges r_i (rim vertices i, i+1 mod k), then the
+    copies s_i.t of spoke 0, spoke 1, ... to the hub, vertex k.  Row i
+    holds every copy of spoke i plus the rim edge antipodal to it, (k-1)/2
+    steps around, which reproduces the K4-with-doubled-spokes instance at
+    k = 3.  The pairing is an interpretation validated by the solver, not a
+    theorem.
     """
     if k < 3 or k % 2 == 0:
         raise ValueError("odd wheels need odd k >= 3")
     shift = (k - 1) // 2
-    m = wheel_matroid(k, k - 1, name=f"odd-wheel-{k}")
-    rows = []
-    for i in range(k):
-        spokes = {k + i * (k - 1) + t for t in range(k - 1)}
-        rows.append(frozenset(spokes | {(i + shift) % k}))
-    inst = GridInstance(m, k, k, tuple(rows), NOT_REQUIRED)
+    spokes = [(i, t) for i in range(k) for t in range(k - 1)]
+    edges = [(i, (i + 1) % k) for i in range(k)] + [(k, i) for i, _ in spokes]
+    names = [f"r{i}" for i in range(k)] + [f"s{i}.{t}" for i, t in spokes]
+    m = MatroidOracle(GraphicRep(k + 1, tuple(edges)), names=names,
+                      name=f"odd-wheel-{k}")
+    rows = tuple(frozenset(range(k + i * (k - 1), k + (i + 1) * (k - 1)))
+                 | {(i + shift) % k} for i in range(k))
+    inst = GridInstance(m, k, k, rows, NOT_REQUIRED)
     return NamedInstance(
         f"odd-wheel-{k}", inst, UNSAT,
         f"wheel with {k - 1} copies of each of its {k} spokes; row i holds "
@@ -165,9 +145,8 @@ def uniform_matroid(r: int, m: int, name: str = "") -> MatroidOracle:
     """U_{r,m} as an explicit basis family."""
     if not 0 <= r <= m:
         raise ValueError("need 0 <= r <= m")
-    bases = frozenset(frozenset(c) for c in combinations(range(m), r))
-    return MatroidOracle(BasesRep(r, bases), name=name or f"u{r}{m}",
-                         ground_size=m)
+    return MatroidOracle(BasesRep(r, combinations(range(m), r)),
+                         name=name or f"u{r}{m}", ground_size=m)
 
 
 def u39_instance() -> NamedInstance:
@@ -264,8 +243,6 @@ def random_graphic_matroid(vertices: int, m: int, seed: int) -> MatroidOracle:
 def random_rota_instance(n: int, seed: int):
     """Seeded rank-n Rota instance over a random linear matroid on n^2 points,
     its rows the least partition into n bases."""
-    from .descent import RotaInstance
-
     return RotaInstance(*_linear_draw(n, n * n, seed))
 
 

@@ -13,11 +13,13 @@ the tester finds the loops, and a key read off the representation (a
 column's primitive direction, an edge's endpoints, the bases through an
 element) groups the rest, which the tests check against the tester.  All
 arithmetic is exact -- the linear tester eliminates over integers
-(Bareiss), never floating point.  It packs each integer column into one int
-of signed fields wide enough for every minor, so an elimination step is a
-few operations on whole ints; an oracle packs its columns once and hands
-them to its restrictions.  A greedy rank, like every other linear query,
-reduces through the tester's `can_add` and `push`, the one copy of that
+(Bareiss), never floating point, and a linear entry must be an int or a
+`Fraction`: scaling a column to integers is the one gate refusing the
+rest.  The tester packs each integer column into one int of signed fields
+wide enough for every minor, so an elimination step is a few operations
+on whole ints; an oracle packs its columns once and hands them to its
+restrictions.  A greedy rank, like every other linear query, reduces
+through the tester's `can_add` and `push`, the one copy of that
 arithmetic.
 
 A restriction M|S has M's rank on every subset of S, so whatever the rank
@@ -36,25 +38,14 @@ from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
-def _inexact(x) -> TypeError:
-    return TypeError(f"refusing inexact entry {x!r}; use int, Fraction, or 'a/b' string")
-
-
-def _as_fraction(x) -> Fraction:
-    # floats are rejected: rank decisions must be exact
-    if isinstance(x, float):
-        raise _inexact(x)
-    return Fraction(x)
-
-
 def _integer_column(col: Sequence) -> tuple[int, ...]:
     # the column times the lcm of its denominators: same span, integer
-    # entries; only an int or a Fraction is an exact entry
+    # entries; the one exactness gate, where only an int or a Fraction passes
     if all([type(x) is int for x in col]):
         return col
     for x in col:
         if not isinstance(x, (int, Fraction)):
-            raise _inexact(x)
+            raise TypeError(f"refusing inexact entry {x!r}; use int or Fraction")
     scale = lcm(*[x.denominator for x in col])
     return tuple([x.numerator * (scale // x.denominator) for x in col])
 
@@ -72,9 +63,6 @@ class GroundSet:
         if self.names is not None and len(self.names) != self.size:
             raise ValueError("one display name per element required")
 
-    def label(self, e: int) -> str:
-        return self.names[e] if self.names is not None else str(e)
-
 
 @dataclass(frozen=True)
 class LinearRep:
@@ -90,13 +78,6 @@ class LinearRep:
         for col in self.columns:
             if len(col) != self.dim:
                 raise ValueError("column length mismatch")
-
-    @staticmethod
-    def from_columns(columns: Iterable[Sequence]) -> "LinearRep":
-        cols = tuple(tuple(_as_fraction(x) for x in col) for col in columns)
-        if not cols:
-            raise ValueError("at least one column required")
-        return LinearRep(len(cols[0]), cols)
 
     @property
     def size(self) -> int:
@@ -127,12 +108,14 @@ class GraphicRep:
 
 @dataclass(frozen=True)
 class BasesRep:
-    """Explicit basis family; all members must share cardinality `rank`."""
+    """Explicit basis family, each member of cardinality `rank`; any
+    iterable of iterables, stored as a frozenset of frozensets."""
 
     rank: int
     bases: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "bases", frozenset(map(frozenset, self.bases)))
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         if not self.bases:
@@ -140,10 +123,6 @@ class BasesRep:
         for b in self.bases:
             if len(b) != self.rank:
                 raise ValueError("all bases must have cardinality equal to the rank")
-
-    @staticmethod
-    def from_sets(rank: int, bases: Iterable[Iterable[int]]) -> "BasesRep":
-        return BasesRep(rank, frozenset(frozenset(b) for b in bases))
 
     @property
     def size(self) -> int:
@@ -356,7 +335,7 @@ def _restrict_bases(rep: BasesRep, elems: list[int], sub_rank: int) -> BasesRep:
         inter = sorted([pos[e] for e in b if e in pos])
         if len(inter) >= sub_rank:
             sub_bases.update(map(frozenset, combinations(inter, sub_rank)))
-    return BasesRep(sub_rank, frozenset(sub_bases))
+    return BasesRep(sub_rank, sub_bases)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 import pytest
 
-from rotagrid import (MatroidOracle, GraphicRep, complete_graph_matroid,
-                      k4_c2_instance, mcdiarmid_instance, oxley_j_instance,
-                      u39_instance, uniform_matroid)
+from rotagrid import (k4_c2_instance, mcdiarmid_instance, oxley_j_instance,
+                      uniform_matroid)
 
 
 @pytest.fixture(scope="session")
 def k4():
-    return complete_graph_matroid(4)
+    return k4_c2_instance().instance.matroid
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,10 @@ import time
 from itertools import combinations
 
 from rotagrid import (REQUIRED, GridInstance, MatroidOracle, BasesRep,
-                      brute_force_count, builtin_instance, count_solutions,
-                      enumerate_bases, find_basis_partition,
-                      find_exchange_violation, initial_double_partition,
-                      is_disjoint_union_of_bases, mcdiarmid_instance, mu,
-                      odd_wheel_instance,
+                      brute_force_count, builtin_instance, enumerate_bases,
+                      find_basis_partition, find_exchange_violation,
+                      initial_double_partition, is_disjoint_union_of_bases,
+                      mcdiarmid_instance, mu, odd_wheel_instance,
                       random_graphic_matroid, random_linear_matroid,
                       random_rota_instance, rank_axiom_violations, rota_solve,
                       solve, uniform_matroid, validate_grid, validate_instance,
@@ -30,7 +29,7 @@ def report(criterion: int, message: str) -> None:
 def test_criterion_1_k4_counterexample():
     start = time.perf_counter()
     inst = builtin_instance("k4-c2").instance
-    count = count_solutions(inst)
+    count = solve(inst, mode="count").count
     status = solve(inst).status
     elapsed = time.perf_counter() - start
     assert count == 0
@@ -63,7 +62,7 @@ def test_criterion_3_mcdiarmid():
     assert not check
     assert any("dependent" in f for f in check.failures)
     assert validate_instance(named.instance)      # NOT_REQUIRED mode is fine
-    count = count_solutions(named.instance)
+    count = solve(named.instance, mode="count").count
     elapsed = time.perf_counter() - start
     assert count == 0
     assert elapsed < 10.0
@@ -153,13 +152,13 @@ def test_criterion_7_solver_oracle_equivalence():
     expected_u24 = 24      # 4! assignments, every column pair a basis
     lines = []
     for name, inst in corpus:
-        fast = count_solutions(inst)
+        fast = solve(inst, mode="count").count
         slow = brute_force_count(inst)
         assert fast == slow, name
         if name == "u24-2x2":
             assert fast == expected_u24
         lines.append(f"{name}={fast}")
-    report(7, "count_solutions == brute_force_count on " + ", ".join(lines))
+    report(7, "count == brute_force_count on " + ", ".join(lines))
 
 
 def test_criterion_8_matroid_axiom_suite():
@@ -172,13 +171,13 @@ def test_criterion_8_matroid_axiom_suite():
 
     # representation equivalence: LinearRep vs BasesRep built from its bases
     j = small["oxley-j"]
-    rebuilt = MatroidOracle(BasesRep.from_sets(4, enumerate_bases(j)),
+    rebuilt = MatroidOracle(BasesRep(4, enumerate_bases(j)),
                             ground_size=8)
     for size in range(9):
         for c in combinations(range(8), size):
             assert rebuilt.rank(c) == j.rank(c)
     lin = random_linear_matroid(3, 9, seed=4)
-    rebuilt_lin = MatroidOracle(BasesRep.from_sets(3, enumerate_bases(lin)),
+    rebuilt_lin = MatroidOracle(BasesRep(3, enumerate_bases(lin)),
                                 ground_size=9)
     assert rebuilt_lin.build_rank_table() == lin.build_rank_table()
 

@@ -113,6 +113,20 @@ def test_rota_builtin_u39(tmp_path):
     assert report["result"]["grid"] is not None
 
 
+def test_rota_refuses_k_below_3_at_every_rank(tmp_path, capsys):
+    # at rank 2 the descent is skipped for a direct search, which used to
+    # let any k through
+    u24 = tmp_path / "u24.matroid"
+    u24.write_text(serialize_matroid(uniform_matroid(2, 4)))
+    for source in (str(u24), "u39"):
+        for k in (0, 2):
+            assert run(["rota", "--matroid", source, "--k", str(k)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: block size k must be at least 3, got {k}\n")
+
+
 def test_rota_from_grid_instance(tmp_path):
     grid = materialize("u39", tmp_path)
     assert run(["rota", "--grid-instance", str(grid)]) == 0
@@ -271,6 +285,16 @@ def test_check_matroid_overlong_rational_names_its_line(tmp_path, capsys):
                    f"ROW 1 {digits}/7\n")
     assert run(["check-matroid", "--matroid", str(bad)]) == 2
     assert "line 6: rational of" in capsys.readouterr().err
+
+
+def test_check_matroid_refuses_a_non_ascii_decimal(tmp_path, capsys):
+    # int() would read the ground size "1_2" as 12
+    bad = tmp_path / "underscore.matroid"
+    bad.write_text("MATROID v1\nNAME z\nGROUND 1_2\nTYPE BASES\nRANK 1\n"
+                   "BASIS 0\n")
+    assert run(["check-matroid", "--matroid", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: underscore.matroid: line 3: bad ground size '1_2'\n")
 
 
 @pytest.mark.parametrize("body, line", [

@@ -160,6 +160,43 @@ def test_malformed_rational_rejected():
                     "ROW 1.5\n") == 6
 
 
+# int() reads "1_2" as 12, "+0" as 0 and digits of other scripts, and a \d
+# pattern matches those digits; a file's numbers are ASCII decimals only
+NON_ASCII_NUMBERS = {
+    "ground-underscore": ("MATROID v1\nNAME z\nGROUND 1_2\nTYPE BASES\n"
+                          "RANK 1\nBASIS 0\n", 3, "bad ground size '1_2'"),
+    "edge-plus": ("MATROID v1\nNAME z\nGROUND 1\nTYPE GRAPHIC\nVERTICES 2\n"
+                  "EDGE +0 1\n", 6, "bad vertex '+0'"),
+    "basis-arabic-indic": ("MATROID v1\nNAME z\nGROUND 1\nTYPE BASES\n"
+                           "RANK 1\nBASIS \u0660\n", 6,
+                           "bad element index '\u0660'"),
+    "row-arabic-indic": (LINEAR_HEAD.replace("GROUND 2", "GROUND 1")
+                         + "ROW \u0663/\u0664\n", 6,
+                         "malformed rational '\u0663/\u0664'"),
+}
+
+
+@pytest.mark.parametrize("text, line, message", NON_ASCII_NUMBERS.values(),
+                         ids=NON_ASCII_NUMBERS.keys())
+def test_matroid_numbers_are_ascii_decimals(text, line, message):
+    with pytest.raises(FormatError) as info:
+        parse_matroid(text)
+    assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("ROWS +2\nCOLS 2\nINDEPENDENCE REQUIRED\nROW 0:\nROW 1:\n", 3,
+     "bad row count '+2'"),
+    ("ROWS 2\nCOLS 2\nINDEPENDENCE REQUIRED\nROW 0: 0_1\nROW 1:\n", 6,
+     "bad element index '0_1'"),
+], ids=["rows-plus", "row-underscore"])
+def test_grid_numbers_are_ascii_decimals(body, line, message):
+    text = "GRIDINSTANCE v1\nMATROID m.matroid\n" + body
+    with pytest.raises(FormatError) as info:
+        parse_grid_instance(text, matroid=uniform_matroid(2, 4))
+    assert str(info.value) == f"line {line}: {message}"
+
+
 def test_duplicate_basis_rejected():
     text = ("MATROID v1\nNAME d\nGROUND 3\nTYPE BASES\nRANK 2\n"
             "BASIS 0 1\nBASIS 1 0\n")

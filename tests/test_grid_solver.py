@@ -14,7 +14,7 @@ import rotagrid.grid
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       GridInstance, LinearRep, MatroidOracle,
                       brute_force_count, builtin_instance, c3_catalog,
-                      count_solutions, enumerate_bases, find_basis_partition,
+                      enumerate_bases, find_basis_partition,
                       is_disjoint_union_of_bases, k4_c2_instance,
                       mcdiarmid_instance, random_graphic_matroid,
                       random_linear_matroid, solve, splits_into_bases,
@@ -61,7 +61,7 @@ def test_solve_rejects_size_mismatch():
 def test_loops_can_never_be_columns():
     loops = MatroidOracle(GraphicRep(1, ((0, 0), (0, 0))))
     inst = GridInstance(loops, 1, 2, (frozenset(),))
-    assert count_solutions(inst) == 0
+    assert solve(inst, mode="count").count == 0
     assert solve(inst).status == "UNSAT"
 
 
@@ -69,20 +69,20 @@ def test_loops_can_never_be_columns():
 
 def test_k4_c2_count_zero():
     inst = k4_c2_instance().instance
-    assert count_solutions(inst) == 0
+    assert solve(inst, mode="count").count == 0
     assert brute_force_count(inst) == 0
 
 
 def test_u24_count_24():
     m = uniform_matroid(2, 4)
     inst = GridInstance(m, 2, 2, (frozenset(), frozenset()))
-    assert count_solutions(inst) == 24
+    assert solve(inst, mode="count").count == 24
     assert brute_force_count(inst) == 24
 
 
 def test_mcdiarmid_count_zero():
     inst = mcdiarmid_instance().instance
-    assert count_solutions(inst) == 0
+    assert solve(inst, mode="count").count == 0
 
 
 def test_count_mode_report_carries_count():
@@ -171,7 +171,7 @@ def test_validate_reports_missing_partition():
 
 def test_validate_rejects_basis_family_that_is_not_a_matroid():
     # {01, 23} breaks exchange: 0 cannot be swapped out of 01 for 2 or 3
-    m = MatroidOracle(BasesRep.from_sets(2, [{0, 1}, {2, 3}]))
+    m = MatroidOracle(BasesRep(2, [{0, 1}, {2, 3}]))
     inst = GridInstance(m, 2, 2, (frozenset(), frozenset()))
     check = validate_instance(inst, check_basis_partition=False)
     assert not check
@@ -357,7 +357,7 @@ def split_draws(draw):
         # entries in -1..1: parallel columns, dependent triples and loops
         columns = [tuple(draw(st.integers(-1, 1)) for _ in range(dim))
                    for _ in range(m)]
-        oracle = MatroidOracle(LinearRep.from_columns(columns))
+        oracle = MatroidOracle(LinearRep(dim, tuple(columns)))
     else:
         # dim + 1 vertices: a loopless multigraph of rank at most dim
         edges = []
@@ -368,7 +368,7 @@ def split_draws(draw):
         oracle = MatroidOracle(GraphicRep(dim + 1, tuple(edges)))
     if kind == "bases":
         oracle = MatroidOracle(
-            BasesRep.from_sets(oracle.rank_total, enumerate_bases(oracle)),
+            BasesRep(oracle.rank_total, enumerate_bases(oracle)),
             ground_size=m)
     chosen = draw(st.permutations(range(m)))[:parts * oracle.rank_total]
     return oracle, chosen, parts
@@ -440,7 +440,7 @@ def test_splits_into_bases_follows_every_circuit_member():
     # exchanges through every member of each circuit met; a search that
     # follows one member per circuit answers no here
     cols = [(1, 1, -1), (1, -1, 1), (0, -1, 0), (1, 1, 0), (0, -1, 0), (1, 0, -1)]
-    oracle = MatroidOracle(LinearRep.from_columns(cols))
+    oracle = MatroidOracle(LinearRep(3, tuple(cols)))
     assert find_basis_partition(oracle, 2) is not None
     assert splits_into_bases(oracle, 0b111111, 2)
 
@@ -675,7 +675,7 @@ def random_instances(draw, shapes=SMALL_SHAPES, loops=True):
 @given(random_instances())
 @settings(max_examples=120, deadline=None)
 def test_count_matches_brute_force(inst):
-    assert count_solutions(inst) == brute_force_count(inst)
+    assert solve(inst, mode="count").count == brute_force_count(inst)
 
 
 def test_count_matches_brute_force_under_the_lookahead(monkeypatch):
@@ -697,7 +697,7 @@ def test_count_matches_brute_force_under_the_lookahead(monkeypatch):
     @given(random_instances([(2, 4)], loops=False))
     @settings(max_examples=60, deadline=None)
     def exact(inst):
-        assert count_solutions(inst) == brute_force_count(inst)
+        assert solve(inst, mode="count").count == brute_force_count(inst)
 
     exact()
     assert answers == {True, False}
@@ -707,7 +707,7 @@ def test_count_matches_brute_force_under_the_lookahead(monkeypatch):
 @settings(max_examples=80, deadline=None)
 def test_decision_consistent_with_count(inst):
     report = solve(inst)
-    count = count_solutions(inst)
+    count = solve(inst, mode="count").count
     assert (report.status == "SAT") == (count > 0)
     if report.grid is not None:
         assert validate_grid(inst, report.grid)
@@ -811,9 +811,9 @@ def gate_draws(draw):
         oracle = uniform_matroid(n, m)
     elif kind == "linear":
         # entries in -1..1: parallel columns, dependent sets and loops
-        oracle = MatroidOracle(LinearRep.from_columns(
-            [tuple(draw(st.integers(-1, 1)) for _ in range(n))
-             for _ in range(m)]))
+        oracle = MatroidOracle(LinearRep(n, tuple(
+            tuple(draw(st.integers(-1, 1)) for _ in range(n))
+            for _ in range(m))))
     else:
         edges = []
         for _ in range(m):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       GridInstance, LinearRep, MatroidOracle, brute_force_count,
-                      builtin_instance, c3_catalog, complete_graph_matroid,
-                      count_solutions, enumerate_bases, enumerate_row_families,
+                      builtin_instance, c3_catalog, enumerate_bases,
+                      enumerate_row_families,
                       find_basis_partition, find_exchange_violation,
                       is_disjoint_union_of_bases, k4_c2_instance,
                       mcdiarmid_instance, odd_wheel_instance,
@@ -49,7 +49,7 @@ def test_k4_rows_are_independent_non_incident_pairs():
 def test_k4_expected_unsat():
     named = k4_c2_instance()
     assert named.expected == "UNSAT"
-    assert count_solutions(named.instance) == 0
+    assert solve(named.instance, mode="count").count == 0
 
 
 # --- oxley-j ------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_mcdiarmid_splits_into_three_trees():
 
 
 def test_mcdiarmid_count_zero():
-    assert count_solutions(mcdiarmid_instance().instance) == 0
+    assert solve(mcdiarmid_instance().instance, mode="count").count == 0
 
 
 # --- odd wheels -------------------------------------------------------------------
@@ -463,8 +463,8 @@ def test_sweep_finds_the_j_obstructions(oxley_j):
     assert len(report.unsat_examples) == 16
     for fam in report.unsat_examples:
         rows = tuple(frozenset(r) for r in fam)
-        assert count_solutions(GridInstance(oxley_j, 4, 2, rows,
-                                            REQUIRED)) == 0
+        inst = GridInstance(oxley_j, 4, 2, rows, REQUIRED)
+        assert solve(inst, mode="count").count == 0
 
 
 # --- the sweep against plain enumeration -----------------------------------
@@ -475,7 +475,7 @@ SWEEP_MATROIDS = {
     "linear-s1": lambda: random_linear_matroid(3, 9, seed=1),
     "graphic-s500": lambda: random_graphic_matroid(4, 9, seed=500),
     "graphic-s501": lambda: random_graphic_matroid(4, 9, seed=501),
-    "k4": lambda: complete_graph_matroid(4),
+    "k4": lambda: k4_c2_instance().instance.matroid,
     "u26": lambda: uniform_matroid(2, 6),
     "u36": lambda: uniform_matroid(3, 6),
     "graphic-v4-m6-s0": lambda: random_graphic_matroid(4, 6, seed=0),
@@ -714,7 +714,7 @@ def sweep_matroids_with_clones(draw):
     bases = {frozenset(b) for b in combinations(range(m), n)}
     for f, e in enumerate(draw(st.permutations(range(m)))[:copies], m):
         bases |= {b - {e} | {f} for b in bases if e in b}
-    return MatroidOracle(BasesRep.from_sets(n, bases), ground_size=n * k)
+    return MatroidOracle(BasesRep(n, bases), ground_size=n * k)
 
 
 @given(sweep_matroids_with_clones())
@@ -770,7 +770,7 @@ def clone_matroids(draw):
         for _ in range(draw(st.integers(0, 3))):
             factor = draw(st.sampled_from([0, 1, -1, 2]))
             cols.append(tuple(factor * x for x in draw(st.sampled_from(cols))))
-        return MatroidOracle(LinearRep.from_columns(cols))
+        return MatroidOracle(LinearRep(d, tuple(cols)))
     v = draw(st.integers(2, 4))
     edges = draw(st.lists(st.tuples(st.integers(0, v - 1),
                                     st.integers(0, v - 1)),
@@ -796,7 +796,7 @@ def clone_matroids(draw):
             bases = ({b | {m} for b in bases}
                      | {b | {e} for b in bases if e not in b})
         m += 1
-    return MatroidOracle(BasesRep.from_sets(len(next(iter(bases))), bases),
+    return MatroidOracle(BasesRep(len(next(iter(bases))), bases),
                          ground_size=m)
 
 

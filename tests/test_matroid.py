@@ -152,7 +152,7 @@ def test_rank_k4_triangle(k4):
 
 
 def test_rank_j_full_ground():
-    j = MatroidOracle(LinearRep.from_columns(J_VECTORS))
+    j = MatroidOracle(LinearRep(4, tuple(J_VECTORS)))
     assert minor_rank(J_VECTORS) == 4
     assert j.rank(range(8)) == 4
 
@@ -165,16 +165,12 @@ def test_rank_rejects_out_of_range(k4):
             k4.restrict(bad)
 
 
-def test_linear_rep_rejects_floats():
-    with pytest.raises(TypeError, match="refusing inexact entry 0.5"):
-        LinearRep.from_columns([(0.5, 1), (1, 0)])
-
-
-@pytest.mark.parametrize("bad", [0.5, Decimal("0.5")], ids=["float", "decimal"])
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1/2"],
+                         ids=["float", "decimal", "string"])
 def test_oracle_and_tester_refuse_inexact_entries(bad):
-    # a representation built without `from_columns` is refused where its
-    # columns are scaled to integers, with the message `from_columns` gives
-    refusal = f"refusing inexact entry {re.escape(repr(bad))}"
+    # scaling a column to integers is the one exactness gate: only an int or
+    # a Fraction passes, and the message recommends nothing else
+    refusal = f"^refusing inexact entry {re.escape(repr(bad))}; use int or Fraction$"
     with pytest.raises(TypeError, match=refusal):
         MatroidOracle(LinearRep(2, ((bad, 1), (1, 0))))
     with pytest.raises(TypeError, match=refusal):
@@ -248,7 +244,7 @@ def test_rank_and_restrict_are_linear_in_their_elements():
     # one basis {0} of rank 1 among a million elements; ORing each bit into
     # a growing mask took 5.5 s for the rank and 9 s for the restriction
     m = 1_000_000
-    big = MatroidOracle(BasesRep.from_sets(1, [{0}]), ground_size=m)
+    big = MatroidOracle(BasesRep(1, [{0}]), ground_size=m)
     start = time.perf_counter()
     assert big.rank(range(m)) == 1
     sub = big.restrict(range(m))
@@ -321,7 +317,7 @@ def basis_families(draw):
                                 max_size=r)
         return draw(st.lists(members, min_size=1, max_size=14))
     rep = draw(st.one_of(
-        linear_columns(max_size=8).map(LinearRep.from_columns), graphic_reps))
+        linear_columns(max_size=8).map(linear_rep), graphic_reps))
     family = sorted(enumerate_bases(MatroidOracle(rep)), key=sorted)
     if kind == "dropped" and len(family) > 1:
         del family[draw(st.integers(0, len(family) - 1))]
@@ -396,7 +392,7 @@ def test_axioms_hold_for_core_matroids(k4, u24, u39, mcd, oxley_j):
 
 
 def test_axiom_audit_flags_non_matroid():
-    broken = MatroidOracle(BasesRep.from_sets(2, [{0, 1}, {2, 3}]))
+    broken = MatroidOracle(BasesRep(2, [{0, 1}, {2, 3}]))
     assert rank_axiom_violations(broken) != []
 
 
@@ -444,8 +440,7 @@ def table_oracles(draw):
     below = draw(st.integers(0, 1))
     if kind == "linear":
         cols = draw(linear_columns(max_size=8))
-        return MatroidOracle(LinearRep.from_columns(
-            [c + (0,) * below for c in cols]))
+        return MatroidOracle(linear_rep([c + (0,) * below for c in cols]))
     if kind == "graphic":
         rep = draw(graphic_reps)
         return MatroidOracle(GraphicRep(rep.vertices + below, rep.edges))
@@ -453,7 +448,7 @@ def table_oracles(draw):
     r = draw(st.integers(0, m))
     family = draw(st.lists(st.sets(st.integers(0, m - 1), min_size=r,
                                    max_size=r), min_size=1, max_size=12))
-    return MatroidOracle(BasesRep.from_sets(r, family), ground_size=m)
+    return MatroidOracle(BasesRep(r, family), ground_size=m)
 
 
 @given(table_oracles())
@@ -467,7 +462,7 @@ def test_rank_table_fill_matches_plain_walk(oracle):
 
 def test_representation_equivalence(oxley_j):
     rebuilt = MatroidOracle(
-        BasesRep.from_sets(4, enumerate_bases(oxley_j)), ground_size=8)
+        BasesRep(4, enumerate_bases(oxley_j)), ground_size=8)
     for size in range(9):
         for c in combinations(range(8), size):
             assert rebuilt.rank(c) == oxley_j.rank(c)
@@ -476,14 +471,13 @@ def test_representation_equivalence(oxley_j):
 # --- ground set / construction ---------------------------------------------------
 
 def test_ground_set_labels():
-    g = GroundSet(2, ("a", "b"))
-    assert g.label(1) == "b"
+    assert GroundSet(2, ("a", "b")).names == ("a", "b")
     with pytest.raises(ValueError):
         GroundSet(3, ("a",))
 
 
 @pytest.mark.parametrize("rep", [
-    LinearRep.from_columns([(1, 0), (0, 1)]), GraphicRep(2, ((0, 1), (1, 1)))],
+    LinearRep(2, ((1, 0), (0, 1))), GraphicRep(2, ((0, 1), (1, 1)))],
     ids=["linear", "graphic"])
 def test_oracle_refuses_a_ground_size_its_representation_lacks(rep):
     # a linear or graphic ground set is its columns or edges, no more, no fewer
@@ -494,7 +488,7 @@ def test_oracle_refuses_a_ground_size_its_representation_lacks(rep):
 
 
 def test_bases_oracle_pads_with_trailing_loops_only():
-    rep = BasesRep.from_sets(1, [{0}, {1}])
+    rep = BasesRep(1, [{0}, {1}])
     assert MatroidOracle(rep, ground_size=4).loops() == {2, 3}
     with pytest.raises(ValueError, match="outside the ground set"):
         MatroidOracle(rep, ground_size=1)
@@ -502,7 +496,7 @@ def test_bases_oracle_pads_with_trailing_loops_only():
 
 def test_bases_rep_validates_cardinality():
     with pytest.raises(ValueError):
-        BasesRep.from_sets(2, [{0, 1}, {2}])
+        BasesRep(2, [{0, 1}, {2}])
     with pytest.raises(ValueError):
         BasesRep(2, frozenset())
 
@@ -609,15 +603,19 @@ def linear_columns(draw, max_dim=4, max_size=6, entries=st.integers(-3, 3),
     return cols
 
 
+def linear_rep(cols):
+    """The linear representation of drawn columns, all of one length."""
+    return LinearRep(len(cols[0]), tuple(cols))
+
+
 @given(linear_columns())
 @settings(max_examples=150, deadline=None)
 def test_linear_rank_matches_nonzero_minors(cols):
     # a zero coordinate appended to every column keeps each rank below dim;
-    # all-int columns also go to the oracle as they are, unscaled
+    # each form goes to the oracle as drawn and with every entry a Fraction
     forms = (cols, [c + (0,) for c in cols])
-    reps = [LinearRep.from_columns(v) for v in forms]
-    if all(type(x) is int for c in cols for x in c):
-        reps += [LinearRep(len(v[0]), tuple(v)) for v in forms]
+    reps = [linear_rep(v) for v in forms]
+    reps += [linear_rep([tuple(map(Fraction, c)) for c in v]) for v in forms]
     greedy = [MatroidOracle(rep) for rep in reps]
     tables = [MatroidOracle(rep).build_rank_table() for rep in reps]
     for mask in range(1 << len(cols)):
@@ -627,7 +625,7 @@ def test_linear_rank_matches_nonzero_minors(cols):
         assert [t[mask] for t in tables] == [expected] * len(reps)
 
 
-@given(st.one_of(linear_columns(max_size=10).map(LinearRep.from_columns),
+@given(st.one_of(linear_columns(max_size=10).map(linear_rep),
                  graphic_reps),
        st.integers(0, 2))
 @settings(max_examples=150, deadline=None)
@@ -649,7 +647,7 @@ def restriction_draws(draw):
     columns, self-loops and parallel edges, trailing loops), a set S of its
     elements and a set T of the restriction's elements."""
     kind = draw(st.sampled_from(["linear", "graphic", "bases"]))
-    rep = draw(graphic_reps) if kind == "graphic" else LinearRep.from_columns(
+    rep = draw(graphic_reps) if kind == "graphic" else linear_rep(
         draw(linear_columns(max_size=10)))
     oracle = MatroidOracle(rep)
     if kind == "bases":
@@ -696,7 +694,7 @@ SCRIPT_OPS = ("check", "push", "checked", "interleaved", "pop", "stale")
                           st.integers(0, 13)), max_size=40))
 @settings(max_examples=120, deadline=None)
 def test_linear_tester_scripts_match_minor_rank(cols, script):
-    rep = LinearRep.from_columns(cols)
+    rep = linear_rep(cols)
     m = len(cols)
     greedy = MatroidOracle(rep)            # never builds a table
     solver_side = MatroidOracle(rep)
@@ -862,7 +860,7 @@ def test_linear_tester_is_exact_on_rational_columns():
             (Fraction(5, 6), Fraction(2, 15), Fraction(2, 5)),
             (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))]
     for tester in (LinearTester(cols),
-                   make_tester(MatroidOracle(LinearRep.from_columns(cols)))):
+                   make_tester(MatroidOracle(LinearRep(3, tuple(cols))))):
         tester.push(0)
         tester.push(1)
         assert not tester.can_add(2)
