@@ -152,6 +152,8 @@ def _cmd_rota(args) -> int:
 
 def _cmd_descent_step(args) -> int:
     inst, digest = _load_rota_instance(args)
+    if args.k < 3:      # as `rota` refuses it, even where mu is already 0
+        raise CliError(f"block size k must be at least 3, got {args.k}")
     dp = initial_double_partition(inst)
     if mu(dp) == 0:
         print("mu = 0 already; nothing to descend")

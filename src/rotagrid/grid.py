@@ -234,8 +234,7 @@ class _Parts:
         for e in elems:
             for p in tries:
                 # a full part takes nothing: skip it before a costly test
-                if len(held[p]) < rank and testers[p].can_add(e):
-                    testers[p].push(e)
+                if len(held[p]) < rank and testers[p].add(e):
                     held[p].append(e)
                     if cyclic:
                         tries = after[p]
@@ -315,8 +314,9 @@ class _Parts:
         roomy = [j for j in everywhere if len(free[j]) + len(pinned[j]) < rank]
 
         def sink_of(x, targets):
+            # the sink's tester takes x as it is
             return next((j for j in targets
-                         if j != part_of[x] and full[j].can_add(x)), None)
+                         if j != part_of[x] and full[j].add(x)), None)
 
         came_from = {s: None}
         queue = [s]
@@ -338,14 +338,12 @@ class _Parts:
                 # pins and the members on the queue do not span z; on top of
                 # z, the first free member off the queue that does not fit
                 # lies on the circuit
-                while sink is None and tester.can_add(z):
+                while sink is None and tester.add(z):
                     pushed = [z]
-                    tester.push(z)
                     for y in free[j]:
                         if y not in came_from:
-                            if not tester.can_add(y):
+                            if not tester.add(y):
                                 break
-                            tester.push(y)
                             pushed.append(y)
                     for f in reversed(pushed):
                         tester.pop(f)
@@ -357,8 +355,8 @@ class _Parts:
             self.pins[part_of[y]].pop(y)
         if sink is None:
             return queue
-        # move x into `sink`, then each predecessor into the part x left
-        full[sink].push(x)          # `sink` takes x as it is
+        # move x into `sink`, whose tester took it, then each predecessor
+        # into the part x left
         changed = set()             # the parts that lost a member
         while x is not None:
             old, part_of[x] = part_of[x], sink
@@ -538,8 +536,7 @@ def _search(inst: GridInstance, mode: str, symmetry: bool,
 
     row_at = list(range(n)) * k
     testers = [tester_for(M) for _ in range(k)]
-    can_add_at = [f for tester in testers for f in [tester.can_add] * n]
-    push_at = [f for tester in testers for f in [tester.push] * n]
+    add_at = [f for tester in testers for f in [tester.add] * n]
     pop_at = [f for tester in testers for f in [tester.pop] * n]
     # boundary[t]: the columns left from cell t on, at the first cell of
     # each column and at t = 0, where the backtracking ends; 0 elsewhere
@@ -562,7 +559,7 @@ def _search(inst: GridInstance, mode: str, symmetry: bool,
             low = cand & -cand
             cand ^= low
             e = low.bit_length() - 1
-            if not can_add_at[t](e):
+            if not add_at[t](e):
                 continue
             if nodes == limit:
                 if nodes == node_budget:
@@ -580,11 +577,11 @@ def _search(inst: GridInstance, mode: str, symmetry: bool,
                         if look is None:
                             look = _Lookahead(M, classes)
                         if not look.query(held, 2):
+                            pop_at[t](e)
                             rest[at:t] = [0] * (t - at)
                             cand = 0
                             continue
             nodes += 1
-            push_at[t](e)
             cells[t] = e
             rest[t] = cand
             unused ^= low

@@ -18,9 +18,10 @@ arithmetic is exact -- the linear tester eliminates over integers
 rest.  The tester packs each integer column into one int of signed fields
 wide enough for every minor, so an elimination step is a few operations
 on whole ints; an oracle packs its columns once and hands them to its
-restrictions.  A greedy rank, like every other linear query, reduces
-through the tester's `can_add` and `push`, the one copy of that
-arithmetic.
+restrictions.  A tester's `can_add` tests an element, `add` tests it and
+pushes it if it passes, `push` asserts that it passes and `pop` undoes
+it; every linear query reduces through `LinearTester.add`, the one copy
+of that arithmetic.
 
 A restriction M|S has M's rank on every subset of S, so whatever the rank
 of small sets decides is M's too: an element of S is a loop of M|S iff it
@@ -282,10 +283,10 @@ class MatroidOracle:
 
         One depth-first walk adds elements in increasing order.  The tester
         always holds a basis of the current mask, so rank(mask + e) is
-        rank(mask) plus whether e can still be added.  A mask that reaches
-        the ceiling is a full stack, spanning tree or basis that no tester
-        can grow, so its whole subtree -- the masks sub + j * 2**(e+1) --
-        is filled with the ceiling in one slice.
+        rank(mask) plus whether `add` takes e.  A mask that reaches the
+        ceiling is a full stack, spanning tree or basis that no tester can
+        grow, so its whole subtree -- the masks sub + j * 2**(e+1) -- is
+        filled with the ceiling in one slice.
         """
         if self._table is None:
             m = self.ground.size
@@ -298,15 +299,13 @@ class MatroidOracle:
             def extend(mask: int, start: int) -> None:
                 for e in range(start, m):
                     sub = mask | 1 << e
-                    grows = tester.can_add(e)
+                    grows = tester.add(e)
                     rank = table[mask] + grows
                     if rank == ceiling:
                         table[sub::2 << e] = [rank] * (1 << (m - e - 1))
-                        continue
-                    table[sub] = rank
-                    if grows:
-                        tester.push(e)
-                    extend(sub, e + 1)
+                    else:
+                        table[sub] = rank
+                        extend(sub, e + 1)
                     if grows:
                         tester.pop(e)
 
@@ -442,13 +441,26 @@ def rank_axiom_violations(oracle: MatroidOracle) -> list[str]:
 # ---------------------------------------------------------------------------
 # incremental independence testers (solver support)
 #
-# A tester maintains one growing/shrinking independent set with O(small)
-# can_add / push / pop, avoiding a full rank computation per query.  Its
+# A tester holds one independent set as a stack.  Each kind defines `add(e)`,
+# which tests whether e keeps the set independent and, if so, pushes it,
+# and `pop(e)`, which undoes the last push and must be given its element.
+# `can_add(e)` tests alone (an `add` undone) and `push(e)` is an `add` that
+# must pass; a loop that pushes what it tests makes one `add`.  The
 # verdicts agree with the owning oracle's rank function (property-tested).
 
 
 class _Tester:
     __slots__ = ()
+
+    def can_add(self, e: int) -> bool:
+        if self.add(e):
+            self.pop(e)
+            return True
+        return False
+
+    def push(self, e: int) -> None:
+        if not self.add(e):
+            raise ValueError(f"element {e} is dependent on the current set")
 
     def rank(self, elems: Iterable[int], ceiling: int) -> int:
         """Rank of the distinct `elems` on a tester that holds nothing yet,
@@ -458,33 +470,30 @@ class _Tester:
         for e in elems:
             if rank == ceiling:
                 break
-            if self.can_add(e):
-                self.push(e)
-                rank += 1
+            rank += self.add(e)
         return rank
 
 
 class TableTester(_Tester):
-    __slots__ = ("table", "mask", "size")
+    __slots__ = ("table", "mask", "held")
 
     def __init__(self, table: list[int]):
         self.table = table
         self.mask = 0
-        self.size = 0
+        self.held: list[int] = []   # the pushed elements, in order
 
-    def can_add(self, e: int) -> bool:
-        return self.table[self.mask | (1 << e)] == self.size + 1
-
-    def push(self, e: int) -> None:
+    def add(self, e: int) -> bool:
         mask = self.mask | 1 << e
-        if self.table[mask] != self.size + 1:
-            raise ValueError(f"element {e} is dependent on the current set")
+        if self.table[mask] <= len(self.held):
+            return False
         self.mask = mask
-        self.size += 1
+        self.held.append(e)
+        return True
 
     def pop(self, e: int) -> None:
-        self.mask &= ~(1 << e)
-        self.size -= 1
+        if self.held.pop() != e:
+            raise ValueError("pop order must mirror push order")
+        self.mask ^= 1 << e
 
 
 class LinearTester(_Tester):
@@ -504,7 +513,7 @@ class LinearTester(_Tester):
     # turns every field into a nonnegative digit, so c is a shift and a mask;
     # v is zero iff each coordinate is; and the lowest set bit of v lies in
     # its first nonzero field, the pivot.
-    __slots__ = ("columns", "width", "bias", "half", "fmask", "stack", "kept")
+    __slots__ = ("columns", "width", "bias", "half", "fmask", "stack")
 
     def __init__(self, columns: Sequence[Sequence], _packing=None):
         if _packing is None:
@@ -514,30 +523,21 @@ class LinearTester(_Tester):
         self.half = 1 << self.width - 1
         self.fmask = (1 << self.width) - 1
         self.stack: list[tuple[int, int, int, int]] = []
-        self.kept = (-1, 0)  # last can_add: (e, v)
 
-    def can_add(self, e: int) -> bool:
+    def add(self, e: int) -> bool:
         v = self.columns[e]
         bias, fmask, half = self.bias, self.fmask, self.half
         prev = 1
         for s, w, _, d in self.stack:
             v = (d * v - (((v + bias) >> s & fmask) - half) * w) // prev
             prev = d
-        self.kept = (e, v)
-        return v != 0
-
-    def push(self, e: int) -> None:
-        if self.kept[0] != e:  # else reuse the reduction can_add just made
-            self.can_add(e)
-        v = self.kept[1]
-        self.kept = (-1, 0)
         if not v:
-            raise ValueError(f"element {e} is dependent on the current set")
+            return False
         s = ((v & -v).bit_length() - 1) // self.width * self.width
-        self.stack.append((s, v, e, ((v + self.bias) >> s & self.fmask) - self.half))
+        self.stack.append((s, v, e, ((v + bias) >> s & fmask) - half))
+        return True
 
     def pop(self, e: int) -> None:
-        self.kept = (-1, 0)
         if self.stack.pop()[2] != e:
             raise ValueError("pop order must mirror push order")
 
@@ -561,30 +561,22 @@ class GraphicTester(_Tester):
         self.compsize = [1] * vertices
         self.trail: list[tuple[int, int, int]] = []  # (child_root, parent_root, element)
 
-    def can_add(self, e: int) -> bool:
+    def add(self, e: int) -> bool:
         ru, rw = self.edges[e]
         parent = self.parent
         while parent[ru] != ru:  # no path compression: keeps pops O(1)
             ru = parent[ru]
         while parent[rw] != rw:
             rw = parent[rw]
-        return ru != rw
-
-    def push(self, e: int) -> None:
-        ru, rw = self.edges[e]
-        parent = self.parent
-        while parent[ru] != ru:
-            ru = parent[ru]
-        while parent[rw] != rw:
-            rw = parent[rw]
         if ru == rw:
-            raise ValueError(f"edge {e} closes a cycle")
+            return False
         compsize = self.compsize
         if compsize[ru] > compsize[rw]:
             ru, rw = rw, ru
         parent[ru] = rw
         compsize[rw] += compsize[ru]
         self.trail.append((ru, rw, e))
+        return True
 
     def pop(self, e: int) -> None:
         child, root, elem = self.trail.pop()
@@ -595,23 +587,24 @@ class GraphicTester(_Tester):
 
 
 class BasesTester(_Tester):
-    __slots__ = ("stack",)
+    __slots__ = ("stack", "held")
 
     def __init__(self, basis_masks: Sequence[int]):
         self.stack: list[list[int]] = [list(basis_masks)]
+        self.held: list[int] = []   # the pushed elements, in order
 
-    def can_add(self, e: int) -> bool:
-        bit = 1 << e
-        return any(bm & bit for bm in self.stack[-1])
-
-    def push(self, e: int) -> None:
+    def add(self, e: int) -> bool:
         bit = 1 << e
         nxt = [bm for bm in self.stack[-1] if bm & bit]
         if not nxt:
-            raise ValueError(f"element {e} is dependent on the current set")
+            return False
         self.stack.append(nxt)
+        self.held.append(e)
+        return True
 
     def pop(self, e: int) -> None:
+        if self.held.pop() != e:
+            raise ValueError("pop order must mirror push order")
         self.stack.pop()
 
 

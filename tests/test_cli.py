@@ -166,13 +166,26 @@ def test_descent_step_reports_mu_drop(tmp_path):
 
 
 @pytest.mark.parametrize("k, message", [
-    ("2", "descent requires n >= 3 and block size k >= 3"),
     ("9", "block size 9 exceeds 3 parts"),
 ])
 def test_descent_step_block_size_out_of_range_is_usage_error(k, message,
                                                             capsys):
     assert run(["descent-step", "--matroid", "u39", "--k", k]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_descent_step_refuses_k_below_3_before_reading_mu(tmp_path, capsys):
+    # U_{1,1}'s initial double partition has mu = 0, which used to end the
+    # step with exit 0 before k was read; both commands now agree
+    u11 = tmp_path / "u11.matroid"
+    u11.write_text(serialize_matroid(uniform_matroid(1, 1)))
+    for source in (str(u11), "u39"):
+        for k in (0, 2):
+            assert run(["descent-step", "--matroid", source, "--k", str(k)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: block size k must be at least 3, got {k}\n")
 
 
 @pytest.mark.parametrize("cmd", ["rota", "descent-step"])

@@ -14,12 +14,15 @@ import rotagrid.grid
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       GridInstance, LinearRep, MatroidOracle,
                       brute_force_count, builtin_instance, c3_catalog,
-                      enumerate_bases, find_basis_partition,
-                      is_disjoint_union_of_bases, k4_c2_instance,
-                      mcdiarmid_instance, random_graphic_matroid,
-                      random_linear_matroid, solve, splits_into_bases,
+                      descent_step, enumerate_bases, find_basis_partition,
+                      initial_double_partition, is_disjoint_union_of_bases,
+                      k4_c2_instance, mcdiarmid_instance, mu,
+                      random_graphic_matroid, random_linear_matroid,
+                      random_rota_instance, solve, splits_into_bases,
                       uniform_matroid, validate_grid, validate_instance,
                       verify_c3_for_matroid)
+from rotagrid.matroid import (BasesTester, GraphicTester, LinearTester,
+                              TableTester)
 from rotagrid.matroid import tester_for as make_tester
 
 
@@ -947,3 +950,39 @@ def test_a_failed_insertion_reaches_its_exchange_closure(monkeypatch):
 
     closed()
     assert tally["failed"] and tally["copies"]
+
+
+# --- one tester call per independence step ----------------------------------------------
+
+def test_no_loop_tests_an_element_it_then_pushes(monkeypatch):
+    # a loop that pushes what it tests makes one `add`; a `push(e)` right
+    # after a `can_add(e)` on the same tester tests e twice.  The calls a
+    # tester makes on itself (`push` through `add`) are not recorded.
+    seen, repeats, depth = {}, [], [0]
+
+    def wrap(name, method):
+        def recorded(tester, e):
+            if not depth[0]:
+                if name == "push" and seen.get(id(tester), (None,))[1:] == (
+                        "can_add", e):
+                    repeats.append((type(tester).__name__, e))
+                seen[id(tester)] = tester, name, e   # keeps each id unique
+            depth[0] += 1
+            try:
+                return method(tester, e)
+            finally:
+                depth[0] -= 1
+        return recorded
+
+    for cls in (LinearTester, GraphicTester, TableTester, BasesTester):
+        for name in ("can_add", "add", "push", "pop"):
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, wrap(name, getattr(cls, name)))
+    assert solve(builtin_instance("odd-wheel-5").instance).status == "UNSAT"
+    inst = random_rota_instance(5, 0)
+    dp = initial_double_partition(inst)
+    assert mu(descent_step(inst, dp)[0]) < mu(dp)
+    assert verify_c3_for_matroid(uniform_matroid(3, 9)).unsat == 0
+    assert {type(t) for t, _, _ in seen.values()} == {
+        LinearTester, GraphicTester, TableTester, BasesTester}
+    assert repeats == []

@@ -24,7 +24,8 @@ from rotagrid import (BasesRep, GraphicRep, GroundSet, LinearRep,
                       is_disjoint_union_of_bases, random_linear_matroid,
                       rank_axiom_violations, uniform_matroid)
 from rotagrid import matroid as matroid_module
-from rotagrid.matroid import LinearTester, TableTester, _bits
+from rotagrid.matroid import (BasesTester, GraphicTester, LinearTester,
+                              TableTester, _bits)
 from rotagrid.matroid import tester_for as make_tester
 
 J_VECTORS = [(-2, 3, 0, 1), (0, 0, 1, 1), (0, 2, 0, 1), (1, 0, 3, 1),
@@ -397,18 +398,16 @@ def test_axiom_audit_flags_non_matroid():
 
 
 class CountingTester:
-    """Wraps a tester and counts its can_add calls."""
+    """Wraps a tester and counts its add calls, the walk's one test per
+    mask."""
 
     def __init__(self, tester):
         self.tester = tester
         self.calls = 0
 
-    def can_add(self, e):
+    def add(self, e):
         self.calls += 1
-        return self.tester.can_add(e)
-
-    def push(self, e):
-        self.tester.push(e)
+        return self.tester.add(e)
 
     def pop(self, e):
         self.tester.pop(e)
@@ -510,26 +509,61 @@ graphic_reps = st.integers(2, 4).flatmap(
     ).map(lambda edges: GraphicRep(v, tuple(edges))))
 
 
-@given(graphic_reps, st.permutations(list(range(8))))
+@given(graphic_reps, st.permutations(list(range(8))),
+       st.lists(st.booleans(), min_size=8, max_size=8))
 @settings(max_examples=150, deadline=None)
-def test_tester_matches_oracle(rep, order):
+def test_tester_matches_oracle(rep, order, asks):
+    # the graphic tester and the basis-family tester of the same matroid
+    # walk together; a step asks can_add before add, or calls add alone,
+    # and add, taking e or not, leaves every later answer right
     oracle = MatroidOracle(rep)
     m = oracle.ground.size
-    tester = make_tester(oracle)
+    family = MatroidOracle(BasesRep(oracle.rank_total, enumerate_bases(oracle)),
+                           ground_size=m)
+    testers = [make_tester(oracle), make_tester(family)]
+    assert [type(t) for t in testers] == [GraphicTester, BasesTester]
     current: list[int] = []
-    for e in (x for x in order if x < m):
+    for e, ask in zip((x for x in order if x < m), asks):
         expected = oracle.rank(current + [e]) == len(current) + 1
-        assert tester.can_add(e) == expected
+        if ask:
+            assert [t.can_add(e) for t in testers] == [expected] * 2
+        assert [t.add(e) for t in testers] == [expected] * 2
         if expected:
-            tester.push(e)
             current.append(e)
     while current:
-        tester.pop(current.pop())
+        e = current.pop()
+        for t in testers:
+            t.pop(e)
         for e in range(m):
             if e in current:
                 continue
             expected = oracle.rank(current + [e]) == len(current) + 1
-            assert tester.can_add(e) == expected
+            assert [t.can_add(e) for t in testers] == [expected] * 2
+
+
+def test_testers_refuse_a_dependent_push_and_an_out_of_order_pop():
+    # U_{2,3} as three plane vectors, a triangle, its bases and a rank table
+    plane = LinearRep(2, ((1, 0), (0, 1), (1, 1)))
+    tabled = MatroidOracle(plane)
+    tabled.build_rank_table()
+    triangle = GraphicRep(3, ((0, 1), (1, 2), (0, 2)))
+    oracles = [MatroidOracle(plane), MatroidOracle(triangle),
+               MatroidOracle(BasesRep(2, combinations(range(3), 2))), tabled]
+    testers = [make_tester(oracle) for oracle in oracles]
+    assert [type(t) for t in testers] == [LinearTester, GraphicTester,
+                                          BasesTester, TableTester]
+    for tester in testers:
+        tester.push(0)
+        tester.push(1)
+        with pytest.raises(ValueError, match="dependent"):
+            tester.push(2)
+        # the refused push left the set as it was
+        assert not tester.can_add(2) and not tester.add(2)
+        tester.pop(1)
+        assert tester.can_add(2)
+        tester.push(1)
+        with pytest.raises(ValueError, match="pop order"):
+            tester.pop(0)
 
 
 @given(graphic_reps)
@@ -683,10 +717,11 @@ def test_restriction_inherits_loops_and_parallel_classes(draw, parent_first,
 
 
 # A script step is (op, e, f).  "check" asks can_add(e); "push" pushes e with
-# no can_add before it; "checked" is the solver's can_add(e) then push(e);
-# "interleaved" asks can_add(e) and can_add(f) before pushing e; "pop" pops
-# the last element; "stale" asks can_add(e), pops, then pushes e.
-SCRIPT_OPS = ("check", "push", "checked", "interleaved", "pop", "stale")
+# no can_add before it; "checked" is can_add(e) then push(e); "add" is the
+# solver's add(e), which pushes e when it answers yes; "interleaved" asks
+# can_add(e) and can_add(f) before pushing e; "pop" pops the last element;
+# "stale" asks can_add(e), pops, then pushes e.
+SCRIPT_OPS = ("check", "push", "checked", "add", "interleaved", "pop", "stale")
 
 
 @given(linear_columns(max_dim=6, max_size=14, entries=rationals),
@@ -733,6 +768,13 @@ def test_linear_tester_scripts_match_minor_rank(cols, script):
                 with pytest.raises(ValueError):
                     t.push(e)
 
+    def add(e):
+        expected = independent(e)
+        assert [t.add(e) for t in testers] == [expected] * len(testers)
+        if expected:
+            current.append(e)
+            assert greedy.rank(current) == len(current)
+
     def pop():
         if current:
             e = current.pop()
@@ -749,6 +791,8 @@ def test_linear_tester_scripts_match_minor_rank(cols, script):
         elif op == "checked":
             if ask(e):
                 push(e)
+        elif op == "add":
+            add(e)
         elif op == "interleaved":
             ask(e)
             ask(f)
@@ -834,7 +878,8 @@ def test_linear_tester_field_width_decodes_large_entries(cols, rng):
 
 def test_linear_tester_reduction_is_reused_only_when_fresh():
     # (1,1) reduced against (1,0) is (0,1); that reduction is wrong for any
-    # other stack, and for any other element
+    # other stack, and for any other element, so no call may carry one over
+    # from an earlier call
     cols = [(1, 0), (0, 1), (1, 1)]
     tester = LinearTester(cols)
     tester.push(0)
