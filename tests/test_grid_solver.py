@@ -597,6 +597,44 @@ def test_repaired_partitions_answer_as_fresh_splits(monkeypatch):
     assert {"lost", True, False} <= seen
 
 
+def test_partition_logs_are_pinned(monkeypatch):
+    # the order of the augmenting-path search decides which partition each
+    # state holds, so a change to it can move certificates, least partitions
+    # and nodes; these digests fail on such a change even when no verdict
+    # moves.  The lookahead log of two odd-wheel decides: each query's mask,
+    # part count and answer, with the certificate it stores; the insertion
+    # log of the 100 benchmark descent draws: each (s, first parts, placed)
+    query, insert = rotagrid.grid._Lookahead.query, rotagrid.grid._Parts.insert
+    log = []
+
+    def queried(look, mask, parts):
+        before = len(look.certs)
+        answer = query(look, mask, parts)
+        log.append((mask, parts, answer, look.certs[before:]))
+        return answer
+
+    def inserted(state, s, first):
+        reached = insert(state, s, first)
+        log.append((s, tuple(first), reached is None))
+        return reached
+
+    monkeypatch.setattr(rotagrid.grid._Lookahead, "query", queried)
+    for name in ("odd-wheel-7", "odd-wheel-9"):
+        assert solve(builtin_instance(name).instance).status == "UNSAT"
+    lookahead = len(log), hashlib.sha256(repr(log).encode()).hexdigest()
+    monkeypatch.undo()
+    log.clear()
+    monkeypatch.setattr(rotagrid.grid._Parts, "insert", inserted)
+    for n in range(3, 7):
+        for s in range(25):
+            random_rota_instance(n, s)
+    inserts = len(log), hashlib.sha256(repr(log).encode()).hexdigest()
+    assert lookahead == (348, "33f6230494fe3fa84728f48afe7b1e5f"
+                              "52286b6fc01453c040c08d0ac9eb06ee")
+    assert inserts == (62, "5799cb9fe44909940af1db400a42f23d"
+                           "747e36a97e77177a99fa793a88c20474")
+
+
 # --- determinism & symmetry soundness --------------------------------------------------
 
 def test_solve_deterministic():
