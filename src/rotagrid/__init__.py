@@ -4,15 +4,15 @@ potential descent for Rota-style basis-arrangement problems."""
 __version__ = "0.1.0"
 
 from .matroid import (BasesRep, GraphicRep, GroundSet, LinearRep,
-                      MatroidOracle, enumerate_bases, find_exchange_violation,
-                      is_disjoint_union_of_bases, rank_axiom_violations)
+                      MatroidOracle, find_exchange_violation,
+                      is_disjoint_union_of_bases)
 from .grid import (NOT_REQUIRED, REQUIRED, Grid, GridInstance, InstanceCheck,
                    SolveReport, brute_force_count, find_basis_partition,
                    solve, splits_into_bases, validate_grid,
                    validate_instance)
 from .descent import (CounterexampleCertificate, DescentStep, DescentTrace,
                       DoublePartition, RotaInstance, Subinstance,
-                      build_subinstance, check_double_partition, descent_step,
+                      build_subinstance, descent_step,
                       grid_from_double_partition, initial_double_partition,
                       mu, rebuild, rota_solve, select_block)
 from .instances import (NamedInstance, SweepReport, builtin_instance,

@@ -76,31 +76,12 @@ class DoublePartition:
             raise ValueError("beta and tau must have the same number of parts")
 
 
-def check_double_partition(inst: RotaInstance, dp: DoublePartition) -> None:
-    """Raise unless beta is a basis partition and tau a transversal partition."""
-    n = inst.n
-    if len(dp.beta) != n:
-        raise ValueError(f"expected {n} parts, got {len(dp.beta)}")
-    if not is_disjoint_union_of_bases(inst.matroid, dp.beta):
-        raise ValueError("beta is not a partition into disjoint bases")
-    covered: set[int] = set()
-    for j, t in enumerate(dp.tau):
-        if covered & t:
-            raise ValueError(f"tau_{j} overlaps an earlier transversal")
-        covered |= t
-        for i, b in enumerate(inst.bases):
-            if len(t & b) != 1:
-                raise ValueError(f"tau_{j} meets B_{i} in {len(t & b)} elements")
-    if len(covered) != inst.matroid.ground.size:
-        raise ValueError("tau does not cover the ground set")
-
-
 def mu(dp: DoublePartition) -> int:
     """Potential: total off-diagonal intersection between beta and tau parts.
 
     It is read as the sum of |beta_i - tau_i|, which equals the off-diagonal
     sum whenever tau partitions a set holding every beta part, as in every
-    double partition that `check_double_partition` accepts.
+    double partition: beta a partition into bases, tau one into transversals.
     """
     return sum(len(b - t) for b, t in zip(dp.beta, dp.tau))
 

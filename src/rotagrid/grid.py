@@ -194,6 +194,18 @@ def splits_into_bases(oracle: MatroidOracle, mask: int, parts: int) -> bool:
                        classes=None).settle() is None)
 
 
+class _Circuits(dict):
+    """A part's snapshot, e -> `circuit(e)`, each answer computed once: a
+    part that does not change is asked again by later insertions."""
+
+    def __init__(self, circuit):
+        self.circuit = circuit
+
+    def __missing__(self, e: int) -> list[int]:
+        self[e] = found = self.circuit(e)
+        return found
+
+
 class _Parts:
     """A matroid partition in progress.  Part j holds its pinned elements,
     which never move, and `free` ones, at most the rank in all; `full[j]` is a
@@ -205,7 +217,14 @@ class _Parts:
     `settle` inserts.  `repair` moves a pin-free partition to another set of
     elements, so a run of related sets is partitioned by one state.
     `classes[e]` names e's parallel class, for `insert`; None, the
-    identity, puts each element in a class of its own."""
+    identity, puts each element in a class of its own.
+
+    `circuits[j]` is part j's snapshot, `pins[j].circuits(free[j])`: the
+    free members on an element's circuit in part j, P_j contracted.  It is
+    made when `insert` first needs it and dropped when part j changes: in
+    `_rebuild`, in `pin`, and for the sink of a successful insertion.  A
+    first fit over the pins that fails (`complete`) pops what it pushed,
+    which leaves every snapshot valid."""
 
     def __init__(self, oracle: MatroidOracle, elems, parts: int, cyclic: bool,
                  classes: Sequence[int] | None):
@@ -216,6 +235,7 @@ class _Parts:
         self.part_of = part_of = [-1] * oracle.ground.size
         self.full = full = [tester_for(oracle) for _ in range(parts)]
         self.pins = [tester_for(oracle) for _ in range(parts)]
+        self.circuits = [None] * parts
         self.left = list(self.fit(elems, range(parts), free, full, cyclic))
         for j, members in enumerate(free):
             for e in members:
@@ -243,6 +263,7 @@ class _Parts:
                 yield e
 
     def _rebuild(self, j: int) -> None:
+        self.circuits[j] = None
         self.full[j] = tester = tester_for(self.oracle)
         for f in self.pinned[j] + self.free[j]:
             tester.push(f)
@@ -295,9 +316,12 @@ class _Parts:
         """Put s, in no part, into the parts along a shortest augmenting path,
         found breadth first, whose first step enters a part in `first`: None
         if one exists, else the elements reached.  An edge x -> y, y free in
-        part j, means part j - y + x is independent; a path ends at an element
+        part j, means part j - y + x is independent: y lies on x's circuit
+        in part j, which part j's snapshot lists.  A path ends at an element
         another part takes as it is, and a shortest one keeps every part
-        independent.
+        independent.  Each circuit's members are queued latest in the part
+        first, the order a scan of the part's free members finds them one
+        at a time, so the paths, and the partitions, are that scan's.
 
         An element is queued and sink-tested but not scanned when a member
         of its parallel class was already scanned against every part: that
@@ -305,6 +329,7 @@ class _Parts:
         queued members (the earlier member among them, in its own part),
         and the queue only grows, so a second scan would reach nothing."""
         free, part_of, full = self.free, self.part_of, self.full
+        circuits = self.circuits
         everywhere = range(len(free))
         classes, scanned = self.classes, set()
         whole = len(first) == len(free)     # s is scanned against every part
@@ -331,32 +356,21 @@ class _Parts:
                 if z != s or whole:
                     scanned.add(c)
             for j in (first if z == s else everywhere):
-                if j == part_of[z]:
+                if j == part_of[z] or sink is not None:
                     continue
-                tester = self.pins[j]
-                # z's circuit in part j leaves the queue exactly when the
-                # pins and the members on the queue do not span z; on top of
-                # z, the first free member off the queue that does not fit
-                # lies on the circuit
-                while sink is None and tester.add(z):
-                    pushed = [z]
-                    for y in free[j]:
-                        if y not in came_from:
-                            if not tester.add(y):
-                                break
-                            pushed.append(y)
-                    for f in reversed(pushed):
-                        tester.pop(f)
-                    came_from[y] = z
-                    queue.append(y)
-                    tester.push(y)
-                    x, sink = y, sink_of(y, roomy)
-        for y in reversed(queue[1:]):      # leave the pin testers as found
-            self.pins[part_of[y]].pop(y)
+                # z is spanned by part j, which did not take it
+                if circuits[j] is None:
+                    circuits[j] = _Circuits(self.pins[j].circuits(free[j]))
+                for y in circuits[j][z]:
+                    if sink is None and y not in came_from:
+                        came_from[y] = z
+                        queue.append(y)
+                        x, sink = y, sink_of(y, roomy)
         if sink is None:
             return queue
         # move x into `sink`, whose tester took it, then each predecessor
         # into the part x left
+        circuits[sink] = None
         changed = set()             # the parts that lost a member
         while x is not None:
             old, part_of[x] = part_of[x], sink
@@ -391,6 +405,7 @@ class _Parts:
         self.free[c].remove(e)
         self.pinned[c].append(e)
         self.pins[c].push(e)
+        self.circuits[c] = None
         return c, refused
 
     def complete(self, start: int, order: list[int]):

@@ -7,7 +7,7 @@ metadata only.  Each representation decides independence in exactly one
 place, its incremental tester; every rank, rank table and loop is computed
 through that tester.  A full 2^m rank table is built only where a caller
 asks for one (`build_rank_table`: the sweep, row-family enumeration, brute
-force counts, the axiom audit); once built, ranks and testers read it.
+force counts); once built, ranks and testers read it.
 Loops and parallel classes live in one per-element index (`class_ids`):
 the tester finds the loops, and a key read off the representation (a
 column's primitive direction, an edge's endpoints, the bases through an
@@ -20,8 +20,10 @@ wide enough for every minor, so an elimination step is a few operations
 on whole ints; an oracle packs its columns once and hands them to its
 restrictions.  A tester's `can_add` tests an element, `add` tests it and
 pushes it if it passes, `push` asserts that it passes and `pop` undoes
-it; every linear query reduces through `LinearTester.add`, the one copy
-of that arithmetic.
+it; `circuits` answers fundamental circuits over the held set, which the
+matroid-partition search follows.  Every linear query, circuits
+included, reduces through `LinearTester.add`, the one copy of that
+arithmetic.
 
 A restriction M|S has M's rank on every subset of S, so whatever the rank
 of small sets decides is M's too: an element of S is a loop of M|S iff it
@@ -387,66 +389,23 @@ def is_disjoint_union_of_bases(oracle: MatroidOracle, parts: Sequence[Iterable[i
     return total == oracle.ground.size == len(seen)
 
 
-def enumerate_bases(oracle: MatroidOracle) -> frozenset[frozenset[int]]:
-    """All bases, by brute force over r-subsets; refuses ground sets above 16."""
-    m = oracle.ground.size
-    if m > 16:
-        raise ValueError(f"ground set of size {m} exceeds enumeration cap 16")
-    r = oracle.rank_total
-    return frozenset(
-        frozenset(c) for c in combinations(range(m), r) if oracle.rank(c) == r
-    )
-
-
-def rank_axiom_violations(oracle: MatroidOracle) -> list[str]:
-    """Exhaustive monotonicity / unit-increase / submodularity audit (m <= 12).
-
-    Returns up to 5 human-readable violations; empty means the rank
-    function is a matroid rank function on the full subset lattice.
-    """
-    m = oracle.ground.size
-    if m > 12:
-        raise ValueError("exhaustive axiom audit limited to 12 elements")
-    table = oracle.build_rank_table()
-    out: list[str] = []
-    full = 1 << m
-    if table[0] != 0:
-        out.append(f"rank(empty) = {table[0]}")
-    # monotone + unit increase over all nested pairs A ⊆ B
-    for b_mask in range(full):
-        rb = table[b_mask]
-        a_mask = b_mask
-        while True:
-            a_mask = (a_mask - 1) & b_mask
-            if a_mask == b_mask:
-                break
-            ra = table[a_mask]
-            if not ra <= rb <= ra + (b_mask & ~a_mask).bit_count():
-                out.append(f"nested pair A={_bits(a_mask)} B={_bits(b_mask)}: "
-                           f"rank {ra} vs {rb}")
-                if len(out) >= 5:
-                    return out
-            if a_mask == 0:
-                break
-    for x in range(full):
-        rx = table[x]
-        for y in range(x, full):
-            if table[x | y] + table[x & y] > rx + table[y]:
-                out.append(f"submodularity fails at A={_bits(x)} B={_bits(y)}")
-                if len(out) >= 5:
-                    return out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # incremental independence testers (solver support)
 #
 # A tester holds one independent set as a stack.  Each kind defines `add(e)`,
-# which tests whether e keeps the set independent and, if so, pushes it,
-# and `pop(e)`, which undoes the last push and must be given its element.
-# `can_add(e)` tests alone (an `add` undone) and `push(e)` is an `add` that
-# must pass; a loop that pushes what it tests makes one `add`.  The
-# verdicts agree with the owning oracle's rank function (property-tested).
+# which tests whether e keeps the set independent and, if so, pushes it
+# (an element already held never does), and `pop(e)`, which undoes the last
+# push and must be given its element.  `can_add(e)` tests alone (an `add`
+# undone) and `push(e)` is an `add` that must pass; a loop that pushes what
+# it tests makes one `add`.
+#
+# `circuits(extra)`, for a list that keeps the held set H independent,
+# returns `circuit(e)`: for e outside H + extra and spanned by it, the
+# members y of `extra` on e's circuit in H + extra, H contracted, that is
+# those with H + extra - y + e independent, latest in `extra` first.  It
+# reads a snapshot, valid until the tester or `extra` changes (a push undone
+# by its pop is no change).  All answers agree with the owning oracle's
+# rank function (property-tested).
 
 
 class _Tester:
@@ -495,6 +454,12 @@ class TableTester(_Tester):
             raise ValueError("pop order must mirror push order")
         self.mask ^= 1 << e
 
+    def circuits(self, extra: Sequence[int]):
+        table, size = self.table, len(self.held) + len(extra)
+        span, latest = self.mask | _mask(extra), extra[::-1]
+        return lambda e: [y for y in latest
+                          if table[span ^ 1 << y | 1 << e] == size]
+
 
 class LinearTester(_Tester):
     # Fraction-free (Bareiss) elimination over integer columns, each packed
@@ -541,6 +506,31 @@ class LinearTester(_Tester):
         if self.stack.pop()[2] != e:
             raise ValueError("pop order must mirror push order")
 
+    def circuits(self, extra: Sequence[int]):
+        # The held rows, then extra's columns tagged with unit vectors in
+        # fields above the dim coordinates.  Reduced against them, a spanned
+        # column keeps zero coordinates and its dependency on extra in the
+        # tags, each +- a minor of at most dim columns, which the width
+        # decodes.  The pivots lie below the tags: extra stays independent.
+        width, half, fmask, bias = self.width, self.half, self.fmask, self.bias
+        top, columns = bias.bit_length(), list(self.columns)
+        for i, y in enumerate(extra):
+            columns[y] += 1 << top + i * width
+            bias += half << top + i * width
+        tagged = LinearTester((), (columns, width, bias))
+        tagged.stack = self.stack.copy()
+        for y in extra:
+            tagged.push(y)
+        latest = range(len(extra) - 1, -1, -1)
+
+        def circuit(e: int) -> list[int]:
+            if not tagged.add(e):       # spanned by the held rows alone
+                return []
+            tags = tagged.stack.pop()[1] + bias >> top
+            return [extra[i] for i in latest
+                    if tags >> i * width & fmask != half]
+        return circuit
+
 
 def _pack(columns: Sequence[tuple[int, ...]], dim: int) -> tuple[tuple[int, ...], int, int]:
     """Integer columns packed for `LinearTester`: (packed columns, field
@@ -585,20 +575,64 @@ class GraphicTester(_Tester):
         self.parent[child] = child
         self.compsize[root] -= self.compsize[child]
 
+    def circuits(self, extra: Sequence[int]):
+        # extra's edges form a forest over the held components.  Each
+        # component is keyed by the edges on its path to its tree's root,
+        # bit i for extra[i], so a circuit is the symmetric difference of
+        # the keys of e's ends
+        parent, edges = self.parent, self.edges
+        near: dict[int, list[tuple[int, int]]] = {}
+        for i, y in enumerate(extra):
+            u, w = edges[y]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[w] != w:
+                w = parent[w]
+            near.setdefault(u, []).append((w, 1 << i))
+            near.setdefault(w, []).append((u, 1 << i))
+        path: dict[int, int] = {}
+        for r in near:
+            if r not in path:
+                path[r], todo = 0, [r]
+                for v in todo:
+                    for w, bit in near[v]:
+                        if w not in path:
+                            path[w] = path[v] | bit
+                            todo.append(w)
+
+        def circuit(e: int) -> list[int]:
+            u, w = edges[e]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[w] != w:
+                w = parent[w]
+            hit = path.get(u, 0) ^ path.get(w, 0)
+            out = []
+            while hit:
+                i = hit.bit_length() - 1
+                out.append(extra[i])
+                hit ^= 1 << i
+            return out
+        return circuit
+
 
 class BasesTester(_Tester):
-    __slots__ = ("stack", "held")
+    __slots__ = ("stack", "mask", "held")
 
     def __init__(self, basis_masks: Sequence[int]):
         self.stack: list[list[int]] = [list(basis_masks)]
+        self.mask = 0
         self.held: list[int] = []   # the pushed elements, in order
 
     def add(self, e: int) -> bool:
         bit = 1 << e
+        if self.mask & bit:
+            return False
         nxt = [bm for bm in self.stack[-1] if bm & bit]
         if not nxt:
             return False
         self.stack.append(nxt)
+        self.mask |= bit
         self.held.append(e)
         return True
 
@@ -606,6 +640,19 @@ class BasesTester(_Tester):
         if self.held.pop() != e:
             raise ValueError("pop order must mirror push order")
         self.stack.pop()
+        self.mask ^= 1 << e
+
+    def circuits(self, extra: Sequence[int]):
+        # y is on e's circuit iff some basis through the held set holds e
+        # and all of extra but y; none holds all of extra and e
+        span, latest = _mask(extra), extra[::-1]
+        near = [(bm, span & ~bm) for bm in self.stack[-1]
+                if (span & ~bm).bit_count() == 1]
+
+        def circuit(e: int) -> list[int]:
+            hit = {miss for bm, miss in near if bm >> e & 1}
+            return [y for y in latest if 1 << y in hit]
+        return circuit
 
 
 def tester_for(oracle: MatroidOracle):

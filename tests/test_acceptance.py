@@ -9,13 +9,14 @@ import os
 import time
 from itertools import combinations
 
+from audits import enumerate_bases, rank_axiom_violations
 from rotagrid import (REQUIRED, GridInstance, MatroidOracle, BasesRep,
-                      brute_force_count, builtin_instance, enumerate_bases,
+                      brute_force_count, builtin_instance,
                       find_basis_partition, find_exchange_violation,
                       initial_double_partition, is_disjoint_union_of_bases,
                       mcdiarmid_instance, mu, odd_wheel_instance,
                       random_graphic_matroid, random_linear_matroid,
-                      random_rota_instance, rank_axiom_violations, rota_solve,
+                      random_rota_instance, rota_solve,
                       solve, uniform_matroid, validate_grid, validate_instance,
                       verify_c3_for_matroid)
 

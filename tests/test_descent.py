@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotagrid.descent
+from audits import check_double_partition
 from rotagrid import (REQUIRED, DoublePartition, GridInstance, RotaInstance,
-                      SolveReport, build_subinstance, check_double_partition,
-                      descent_step, find_basis_partition,
+                      SolveReport, build_subinstance, descent_step,
+                      find_basis_partition,
                       grid_from_double_partition, initial_double_partition,
                       mu, random_graphic_matroid, random_rota_instance,
                       rebuild, rota_solve, select_block, uniform_matroid,

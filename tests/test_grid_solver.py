@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotagrid.grid
+from audits import enumerate_bases
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       GridInstance, LinearRep, MatroidOracle,
                       brute_force_count, builtin_instance, c3_catalog,
-                      descent_step, enumerate_bases, find_basis_partition,
+                      descent_step, find_basis_partition,
                       initial_double_partition, is_disjoint_union_of_bases,
                       k4_c2_instance, mcdiarmid_instance, mu,
                       random_graphic_matroid, random_linear_matroid,

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from audits import enumerate_bases
 from rotagrid import (NOT_REQUIRED, REQUIRED, BasesRep, GraphicRep,
                       GridInstance, LinearRep, MatroidOracle, brute_force_count,
-                      builtin_instance, c3_catalog, enumerate_bases,
-                      enumerate_row_families,
+                      builtin_instance, c3_catalog, enumerate_row_families,
                       find_basis_partition, find_exchange_violation,
                       is_disjoint_union_of_bases, k4_c2_instance,
                       mcdiarmid_instance, odd_wheel_instance,

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audits import enumerate_bases, rank_axiom_violations
 from rotagrid import (BasesRep, GraphicRep, GroundSet, LinearRep,
-                      MatroidOracle, enumerate_bases, find_exchange_violation,
+                      MatroidOracle, find_exchange_violation,
                       is_disjoint_union_of_bases, random_linear_matroid,
-                      rank_axiom_violations, uniform_matroid)
+                      uniform_matroid)
 from rotagrid import matroid as matroid_module
 from rotagrid.matroid import (BasesTester, GraphicTester, LinearTester,
                               TableTester, _bits)
@@ -554,6 +555,8 @@ def test_testers_refuse_a_dependent_push_and_an_out_of_order_pop():
                                           BasesTester, TableTester]
     for tester in testers:
         tester.push(0)
+        # a held element does not grow the set, so add refuses it
+        assert not tester.add(0)
         tester.push(1)
         with pytest.raises(ValueError, match="dependent"):
             tester.push(2)
@@ -874,6 +877,104 @@ def test_linear_tester_field_width_decodes_large_entries(cols, rng):
             tester.push(e)
             pushed.append(e)
     check_rows_are_minors(tester, cols)
+
+
+# --- fundamental circuits ---------------------------------------------------------
+
+wide_graphic_reps = st.integers(3, 6).flatmap(
+    lambda v: st.lists(
+        st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)),
+        min_size=v, max_size=12,
+    ).map(lambda edges: GraphicRep(v, tuple(edges))))
+
+
+@st.composite
+def circuit_draws(draw):
+    """An oracle of every tester kind -- linear columns with int, Fraction and
+    huge entries, a multigraph with loops and parallel edges, a basis family
+    padded with loops, a rank table -- and an independent set, in a drawn
+    order, split into a held part and `extra`."""
+    kind = draw(st.sampled_from(["linear", "fractions", "huge", "graphic",
+                                 "bases", "table"]))
+    if kind == "huge":
+        rep = linear_rep(draw(linear_columns(
+            max_dim=10, max_size=12, entries=st.integers(-10**40, 10**40),
+            fractions=huge_rationals)))
+    elif kind == "graphic" or kind != "linear" and draw(st.booleans()):
+        rep = draw(wide_graphic_reps)
+    else:
+        cols = draw(linear_columns(max_dim=6, max_size=10))
+        if kind == "fractions":
+            cols = [tuple(map(Fraction, c)) for c in cols]
+        rep = linear_rep(cols)
+    oracle = MatroidOracle(rep)
+    if kind == "bases":
+        oracle = MatroidOracle(
+            BasesRep(oracle.rank_total, enumerate_bases(oracle)),
+            ground_size=oracle.ground.size + draw(st.integers(0, 2)))
+    elif kind == "table":
+        oracle.build_rank_table()
+    independent: list[int] = []
+    for e in draw(st.permutations(range(oracle.ground.size))):
+        if oracle.is_independent(independent + [e]):
+            independent.append(e)
+    # a basis, or one to two elements short of one, split element by element
+    independent = independent[:max(0, len(independent) - draw(st.integers(0, 2)))]
+    into_held = [draw(st.booleans()) for _ in independent]
+    return (oracle, [e for e, h in zip(independent, into_held) if h],
+            [e for e, h in zip(independent, into_held) if not h])
+
+
+def check_circuits(oracle, held, extra):
+    """Every answer of `circuits(extra)` on a tester holding `held` against
+    the rank definition: y of extra is on e's circuit iff held + extra - y
+    + e is independent.  Returns the tester's kind and the circuit sizes."""
+    tester = make_tester(oracle)
+    for e in held:
+        tester.push(e)
+    circuit = tester.circuits(extra)
+    together, sizes = held + extra, set()
+    for e in range(oracle.ground.size):
+        if e in together or oracle.rank(together + [e]) > len(together):
+            continue
+        expected = [y for y in reversed(extra)
+                    if oracle.rank([x for x in together if x != y] + [e])
+                    == len(together)]
+        assert circuit(e) == expected
+        # a push undone by its pop leaves the snapshot valid
+        if tester.add(e):
+            tester.pop(e)
+        assert circuit(e) == expected
+        sizes.add(len(expected))
+    return type(tester).__name__, sizes
+
+
+def test_circuits_match_the_rank_definition():
+    # the draws must meet, on every tester kind, empty circuits (e spanned
+    # by the held part alone) and one-member ones; M(K4) in every
+    # representation, a star on three edges as `extra`, adds circuits of two
+    # members, latest first
+    seen = set()
+    k4 = GraphicRep(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    incidence = LinearRep(3, tuple(tuple((i == u) - (i == w) for i in range(3))
+                                   for u, w in k4.edges))
+    tabled = MatroidOracle(k4)
+    tabled.build_rank_table()
+    for oracle in (MatroidOracle(k4), MatroidOracle(incidence), tabled,
+                   MatroidOracle(BasesRep(3, enumerate_bases(tabled)))):
+        assert check_circuits(oracle, [], [0, 1, 2])[1] == {2}
+        # edge 3 closes the triangle of edges 0 and 1
+        assert make_tester(oracle).circuits([0, 1, 2])(3) == [1, 0]
+
+    @given(circuit_draws())
+    @settings(max_examples=300, deadline=None)
+    def agree(case):
+        kind, sizes = check_circuits(*case)
+        seen.update((kind, size) for size in sizes if size < 2)
+
+    agree()
+    kinds = {"LinearTester", "GraphicTester", "BasesTester", "TableTester"}
+    assert {(kind, size) for kind in kinds for size in (0, 1)} <= seen
 
 
 def test_linear_tester_reduction_is_reused_only_when_fresh():
